@@ -4,7 +4,9 @@
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
 Run from the repository root. The build goes to $CARGO_TARGET_DIR (default
-.bench_build) under perfbench/, configured once and rebuilt incrementally;
+.bench_build) under perfbench-<digest of the checkout's path>/, so checkouts
+that share one CARGO_TARGET_DIR never share a build tree; it is configured
+once and rebuilt incrementally;
 build output goes to stderr so the last stdout line stays the result
 object. Workloads, their parameters and the metric mapping are described
 in perfbench/workloads.json.
@@ -24,14 +26,29 @@ RUN_TIMEOUT_S = 175
 
 def build_dir():
     base = os.environ.get("CARGO_TARGET_DIR") or ".bench_build"
-    return os.path.join(os.path.abspath(base), "perfbench")
+    tag = hashlib.sha256(os.path.realpath(ROOT).encode()).hexdigest()[:12]
+    return os.path.join(os.path.abspath(base), f"perfbench-{tag}")
+
+
+def configured_from(out):
+    """The source directory the build tree `out` was configured from."""
+    try:
+        with open(os.path.join(out, "CMakeCache.txt")) as f:
+            for line in f:
+                if line.startswith("CMAKE_HOME_DIRECTORY:"):
+                    return os.path.realpath(line.split("=", 1)[1].strip())
+    except OSError:
+        pass
+    return None
 
 
 def build(out):
     def step(cmd):
         subprocess.run(cmd, stdout=sys.stderr, stderr=sys.stderr, check=True)
 
-    if not os.path.exists(os.path.join(out, "CMakeCache.txt")):
+    if configured_from(out) != os.path.realpath(HERE):
+        # Absent, or set up from another checkout's sources: start afresh.
+        shutil.rmtree(out, ignore_errors=True)
         generator = ["-G", "Ninja"] if shutil.which("ninja") else []
         step(["cmake", "-S", HERE, "-B", out, "-DCMAKE_BUILD_TYPE=Release",
               *generator])

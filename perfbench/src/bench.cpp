@@ -1,5 +1,6 @@
 #include "bench.hpp"
 
+#include <sched.h>
 #include <sys/resource.h>
 
 #include <cstdio>
@@ -16,6 +17,12 @@ const std::chrono::steady_clock::time_point kEpoch =
 std::int64_t now_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now() - kEpoch)
+      .count();
+}
+
+double now_s() {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       kEpoch)
       .count();
 }
 
@@ -66,7 +73,7 @@ std::vector<Item> gaussian_interval(InputRng& rng, std::size_t n,
   return items;
 }
 
-std::vector<Item> skewed_poisson_tick(InputRng& rng, std::size_t n) {
+std::vector<Item> skewed_poisson_items(InputRng& rng, std::size_t n) {
   static constexpr double kLambda[4] = {10.0, 100.0, 1000.0, 1e7};
   static constexpr double kShare[4] = {0.80, 0.1989, 0.001, 0.0001};
   std::vector<Item> items;
@@ -84,7 +91,7 @@ std::vector<Item> skewed_poisson_tick(InputRng& rng, std::size_t n) {
   for (; assigned < n; ++assigned) {
     items.push_back(Item{SubStreamId{1}, rng.poisson(kLambda[0]), 0});
   }
-  // Fisher-Yates: interleave the sub-streams within the tick.
+  // Fisher-Yates: interleave the sub-streams.
   for (std::size_t i = items.size(); i > 1; --i) {
     std::swap(items[i - 1], items[rng.below(i)]);
   }
@@ -133,8 +140,38 @@ double peak_rss_mb() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KB on Linux
 }
 
+CpuRotation::CpuRotation() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) != 0) return;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &set)) cpus_.push_back(cpu);
+  }
+}
+
+CpuRotation::~CpuRotation() {
+  if (cpus_.size() < 2) return;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  for (int cpu : cpus_) CPU_SET(cpu, &set);
+  sched_setaffinity(0, sizeof set, &set);
+}
+
+void CpuRotation::step() {
+  if (cpus_.size() < 2) return;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpus_[next_++ % cpus_.size()], &set);
+  sched_setaffinity(0, sizeof set, &set);
+}
+
 bool count_matches(double estimated, double pushed) {
   return std::fabs(estimated - pushed) <= 1e-9 * std::max(1.0, pushed);
+}
+
+bool sum_within_margin(double point, double margin, double truth) {
+  return std::fabs(point - truth) <=
+         kSumMargins * margin + 1e-9 * std::fabs(truth);
 }
 
 std::string json_escape(const std::string& s) {

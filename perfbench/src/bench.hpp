@@ -30,7 +30,9 @@ using approxiot::SubStreamId;
 /// Interval stamps, fold times and due times all share this epoch.
 std::int64_t now_us();
 
-inline double now_s() { return static_cast<double>(now_us()) * 1e-6; }
+/// Seconds since the same epoch, at the clock's full (ns) resolution: the
+/// timer of every duration the benchmark reports.
+double now_s();
 
 // --- seeded generation --------------------------------------------------------
 
@@ -71,7 +73,7 @@ std::vector<Item> gaussian_interval(InputRng& rng, std::size_t n,
 /// shares 80 %, 19.89 %, 0.1 %, 0.01 %. Exactly round(share × n) items of
 /// each sub-stream (ids 1..4, the rest of the rounding to λ = 10), in a
 /// seeded random order.
-std::vector<Item> skewed_poisson_tick(InputRng& rng, std::size_t n);
+std::vector<Item> skewed_poisson_items(InputRng& rng, std::size_t n);
 
 /// Exact SUM of an item vector (compensated).
 double exact_sum(const std::vector<Item>& items);
@@ -92,6 +94,28 @@ double segmented_quantile(const std::vector<double>& samples, double q);
 
 /// Peak resident set of this process in MB (getrusage ru_maxrss).
 double peak_rss_mb();
+
+// --- placement -----------------------------------------------------------------
+
+/// Steps the calling thread through the CPUs it may run on, one CPU per
+/// step(), and restores its affinity on destruction. On a shared VM the
+/// vCPUs run at different speeds (measured: 11.6M vs 15.1M items/s for
+/// flowqueue_fig4 on two vCPUs of one 4-vCPU host), so a single-threaded
+/// run measures whichever vCPU the scheduler left it on; stepping through
+/// all of them makes every run sample each.
+class CpuRotation {
+ public:
+  CpuRotation();
+  ~CpuRotation();
+  CpuRotation(const CpuRotation&) = delete;
+  CpuRotation& operator=(const CpuRotation&) = delete;
+
+  void step();
+
+ private:
+  std::vector<int> cpus_;
+  std::size_t next_{0};
+};
 
 // --- reporting ----------------------------------------------------------------
 
@@ -131,6 +155,13 @@ struct Report {
 /// Window check shared by every workload (Eq. 8): the root's estimated
 /// count equals the items pushed into the window, to 1e-9 relative.
 bool count_matches(double estimated, double pushed);
+
+/// Window check against the benchmark's own ground truth: SUM* is within
+/// kSumMargins of its reported 95 % margin of the exact SUM of the inputs.
+/// At ~7.8 standard errors an unbiased estimator never fails it by chance;
+/// a biased one (counts still exact, margin unchanged) does.
+constexpr double kSumMargins = 4.0;
+bool sum_within_margin(double point, double margin, double truth);
 
 std::string json_escape(const std::string& s);
 

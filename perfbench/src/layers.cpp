@@ -106,10 +106,6 @@ void measure_core_layers(const std::vector<std::vector<Item>>& leaves,
 void fill_missing_per_layer(Report& report) {
   // Every per-layer metric in BENCHMARK.json, with its unit.
   static const std::pair<const char*, const char*> kPerLayer[] = {
-      {"workload.send_lag_p99_ms", "ms"},
-      {"workload.open_loop_latency_p50_ms", "ms"},
-      {"workload.open_loop_latency_p99_ms", "ms"},
-      {"workload.open_loop_query_p99_ms", "ms"},
       {"runtime.push_blocked_frac", "ratio"},
       {"runtime.drain_ms_p50", "ms"},
       {"runtime.us_per_node_interval", "us"},
@@ -213,6 +209,7 @@ void report_ledger(const approxiot::obs::Tracer& tracer, std::int64_t t0_us,
   // Job spans live on the worker tracks (named after the node task they
   // ran); stage-execute / root-merge spans live on the node tracks.
   std::map<std::string, std::vector<Span>> jobs;  // by node
+  std::map<std::string, std::vector<Span>> on_worker;  // jobs by worker track
   std::map<std::string, std::vector<Span>> work;  // by node, both kinds
   std::map<std::string, std::vector<double>> exec_us;  // by layer
   double busy = 0.0;
@@ -233,6 +230,7 @@ void report_ledger(const approxiot::obs::Tracer& tracer, std::int64_t t0_us,
     const std::string name = string_field(line, "name");
     if (track.rfind("tree/sched/", 0) == 0) {
       jobs[name].push_back(span);
+      on_worker[track].push_back(span);
       busy += clip(span);
     } else if (name == "stage-execute" || name == "root-merge") {
       work[track].push_back(span);
@@ -260,18 +258,41 @@ void report_ledger(const approxiot::obs::Tracer& tracer, std::int64_t t0_us,
     }
   }
 
-  const double capacity =
-      static_cast<double>(workers) * static_cast<double>(t1_us - t0_us);
+  // Idle is measured on its own, from the gaps between job spans on each
+  // worker track (a worker with no job in the window idled throughout), so
+  // the four slices are independent: jobs that overlap or are recorded
+  // twice push the sum past capacity instead of cancelling out.
+  const double window = static_cast<double>(t1_us - t0_us);
+  const std::size_t silent = workers - std::min(workers, on_worker.size());
+  double idle = window * static_cast<double>(silent);
+  for (auto& [track, spans] : on_worker) {
+    std::sort(spans.begin(), spans.end(),
+              [](const Span& a, const Span& b) { return a.begin < b.begin; });
+    std::int64_t cursor = t0_us;
+    for (const Span& s : spans) {
+      if (s.begin > cursor) idle += clip(Span{cursor, s.begin});
+      cursor = std::max(cursor, s.end);
+    }
+    if (cursor < t1_us) idle += static_cast<double>(t1_us - cursor);
+  }
+
+  const double capacity = static_cast<double>(workers) * window;
   const double pump_self = busy - nested;
-  const double idle = capacity - busy;
+  const double gap_pct =
+      100.0 * std::fabs(stage + merge + pump_self + idle - capacity) /
+      capacity;
   report.set("runtime.stage_exec_frac", stage / capacity, "ratio");
   report.set("runtime.pump_self_frac", pump_self / capacity, "ratio");
   report.set("runtime.root_merge_frac", merge / capacity, "ratio");
   report.set("runtime.idle_frac", idle / capacity, "ratio");
-  report.set("runtime.ledger_gap_pct",
-             100.0 * std::fabs(stage + merge + pump_self + idle - capacity) /
-                 capacity,
-             "%");
+  report.set("runtime.ledger_gap_pct", gap_pct, "%");
+  report.op(on_worker.size() <= workers && busy <= capacity &&
+                gap_pct <= kLedgerGapPct,
+            "worker-time ledger does not add up: " +
+                std::to_string(on_worker.size()) + " worker tracks for " +
+                std::to_string(workers) + " workers, busy " +
+                std::to_string(busy) + " us of " + std::to_string(capacity) +
+                " us, gap " + std::to_string(gap_pct) + " %");
   for (auto& [layer, samples] : exec_us) {
     report.set("runtime.exec_us_p50." + layer, median(std::move(samples)),
                "us");

@@ -28,10 +28,15 @@ void measure_core_layers(const std::vector<std::vector<Item>>& leaves,
 /// core.query_us: median wall time of approximate_query over `theta`.
 void measure_query(const approxiot::core::ThetaStore& theta, Report& report);
 
+/// Largest ledger gap, % of wall x workers, at which the ledger reconciles.
+constexpr double kLedgerGapPct = 10.0;
+
 /// Worker-time ledger over [t0_us, t1_us] (tracer time) for a tree run on
 /// `workers` scheduler workers. Reports runtime.{stage_exec,pump_self,
 /// root_merge,idle}_frac, runtime.ledger_gap_pct and the per-layer
-/// runtime.exec_us_p50.* from the stage-execute spans.
+/// runtime.exec_us_p50.* from the stage-execute spans. A ledger that does
+/// not reconcile (more worker tracks than workers, job time above wall x
+/// workers, or a gap above kLedgerGapPct) fails the run.
 void report_ledger(const approxiot::obs::Tracer& tracer, std::int64_t t0_us,
                    std::int64_t t1_us, std::size_t workers, Report& report);
 

@@ -229,6 +229,7 @@ class Session {
   // Per timed window: 95 % margin and realized error of SUM, % of SUM.
   std::vector<double> bound_pct;
   std::vector<double> error_pct;
+  double max_error_margins{0.0};  // max |SUM* - SUM| / margin, every window
 
  private:
   void push(std::int64_t stamp) {
@@ -264,19 +265,31 @@ class Session {
     report_.op(result.estimated_count >= 0.0, "run_query: negative count");
   }
 
-  /// close_window (drains first) + the Eq. 8 count check.
+  /// close_window (drains first) + the Eq. 8 count and SUM checks.
   void close(Phase* phase) {
     const double t0 = now_s();
     const ac::ApproxResult result = tree_->close_window();
+    const double drain_ms = (now_s() - t0) * 1e3;
     const double items = static_cast<double>(in_window_) *
                          in_.items_per_interval;
-    char why[160];
+    char why[192];
     std::snprintf(why, sizeof why,
                   "window %zu: estimated count %.17g != %.17g pushed",
                   results.size(), result.estimated_count, items);
     report_.op(count_matches(result.estimated_count, items), why);
+    std::snprintf(why, sizeof why,
+                  "window %zu: SUM* %.17g off the exact %.17g by more than "
+                  "%g margins",
+                  results.size(), result.sum.point, window_truth_, kSumMargins);
+    report_.op(sum_within_margin(result.sum.point, result.sum.margin,
+                                 window_truth_),
+               why);
+    max_error_margins =
+        std::max(max_error_margins,
+                 std::fabs(result.sum.point - window_truth_) /
+                     result.sum.margin);
     if (phase != nullptr) {
-      phase->drain_ms.push_back((now_s() - t0) * 1e3);
+      phase->drain_ms.push_back(drain_ms);
       bound_pct.push_back(100.0 * result.sum.margin /
                           std::fabs(result.sum.point));
       error_pct.push_back(100.0 *
@@ -334,9 +347,10 @@ void report_end_to_end(const std::vector<double>& latencies,
   report.set("peak_rss_mb", peak_rss_mb(), "MB");
   std::printf(
       "{\"detail\":{\"windows\":%zu,\"latency_samples\":%zu,"
-      "\"query_samples\":%zu,\"sum_rel_error_pct\":%.6g}}\n",
+      "\"query_samples\":%zu,\"sum_rel_error_pct\":%.6g,"
+      "\"max_sum_error_margins\":%.4g}}\n",
       session.bound_pct.size(), latencies.size(), queries.size(),
-      median(session.error_pct));
+      median(session.error_pct), session.max_error_margins);
 }
 
 /// Open-loop honesty: the generator may run late while the driver thread
@@ -486,14 +500,14 @@ void run_tree(const TreeSpec& spec, const RunOptions& options,
       open_loop_valid(b, spec.offered_rate, inputs.items_per_interval,
                       report)) {
     const std::vector<double> latencies = session.latencies_ms(b.start_us);
-    report.set("workload.open_loop_latency_p50_ms",
-               segmented_quantile(latencies, 0.5), "ms");
-    report.set("workload.open_loop_latency_p99_ms",
-               segmented_quantile(latencies, 0.99), "ms");
-    report.set("workload.open_loop_query_p99_ms",
-               segmented_quantile(b.query_ms, 0.99), "ms");
+    std::printf(
+        "{\"detail\":{\"open_loop_latency_p50_ms\":%.6g,"
+        "\"open_loop_latency_p99_ms\":%.6g,"
+        "\"open_loop_query_p99_ms\":%.6g}}\n",
+        segmented_quantile(latencies, 0.5),
+        segmented_quantile(latencies, 0.99),
+        segmented_quantile(b.query_ms, 0.99));
   }
-  report.set("workload.send_lag_p99_ms", quantile(b.send_lag_ms, 0.99), "ms");
   report.set("runtime.push_blocked_frac", a.push_s / a.wall_s, "ratio");
   report.set("runtime.drain_ms_p50", median(a.drain_ms), "ms");
   report.set("runtime.us_per_node_interval", a.wall_s * 1e6 / node_intervals,

@@ -9,13 +9,17 @@ checks that:
   - the last stdout line is {"correct","attempted","failed","metrics"},
     correct, with at least one operation attempted and none failed;
   - --trace 0 prints exactly BENCHMARK.json's end-to-end metrics and
-    --trace 1 exactly its per-layer metrics, each with the declared unit,
-    and no end-to-end value is 0;
+    --trace 1 exactly its per-layer metrics, each with the declared unit;
+    no end-to-end value is 0, every per-layer metric workloads.json's
+    per_layer_applies lists for the workload is non-zero (bar its
+    may_be_zero ones) and every other per-layer metric is 0;
   - the host stamp carries nproc, kernel tier, compiler, build type,
     stats switch and commit;
   - the parameters the program prints equal workloads.json's;
   - run.py fails without printing a result in a directory that holds only
-    BENCHMARK.json and perfbench/.
+    BENCHMARK.json and perfbench/;
+  - two checkouts that share one CARGO_TARGET_DIR get separate build
+    trees, and this checkout's build tree was configured from its sources.
 """
 import json
 import os
@@ -67,6 +71,17 @@ def check_run(binary, bench, described, workload, trace, failures):
             failures.append(f"{where}: {name} value {m.get('value')}")
         elif not trace and m["value"] <= 0:
             failures.append(f"{where}: end-to-end {name} is {m['value']}")
+    if trace:
+        applies = described["per_layer_applies"]
+        measured = set(applies[workload])
+        may_be_zero = set(applies["may_be_zero"][workload])
+        for name, m in metrics.items():
+            zero = m.get("value") == 0
+            if name in measured and zero and name not in may_be_zero:
+                failures.append(f"{where}: measured per-layer {name} is 0")
+            elif name not in measured and not zero:
+                failures.append(f"{where}: unmeasured per-layer {name} is "
+                                f"{m.get('value')}, not 0")
     host = next((l["host"] for l in lines if "host" in l), {})
     if not HOST_KEYS <= set(host):
         failures.append(f"{where}: host stamp {host}")
@@ -97,6 +112,33 @@ def check_stripped_checkout(failures):
     shutil.rmtree(base, ignore_errors=True)
 
 
+def check_shared_target_dir(failures):
+    """Two copies of run.py in different checkouts, one CARGO_TARGET_DIR:
+    each must build into its own tree, or both would run one checkout's
+    code."""
+    base = os.path.join(os.path.abspath(os.environ.get("CARGO_TARGET_DIR")
+                                        or ".bench_build"), "shared")
+    shutil.rmtree(base, ignore_errors=True)
+    dirs = []
+    for copy in ("a", "b"):
+        os.makedirs(os.path.join(base, copy, "perfbench"))
+        shutil.copy(os.path.join(HERE, "run.py"),
+                    os.path.join(base, copy, "perfbench"))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; sys.path.insert(0, 'perfbench'); import run; "
+             "print(run.build_dir())"],
+            cwd=os.path.join(base, copy),
+            env=dict(os.environ, CARGO_TARGET_DIR=os.path.join(base, "t")),
+            capture_output=True, text=True, timeout=30)
+        dirs.append(out.stdout.strip())
+    if not dirs[0] or dirs[0] == dirs[1]:
+        failures.append(f"checkouts sharing CARGO_TARGET_DIR share {dirs}")
+    shutil.rmtree(base, ignore_errors=True)
+    if run.configured_from(run.build_dir()) != os.path.realpath(HERE):
+        failures.append("build tree not configured from this checkout")
+
+
 def main():
     bench = load("BENCHMARK.json")
     described = load("workloads.json")
@@ -111,6 +153,7 @@ def main():
         for trace in (0, 1):
             check_run(binary, bench, described, workload, trace, failures)
     check_stripped_checkout(failures)
+    check_shared_target_dir(failures)
     for failure in failures:
         print("FAIL", failure)
     print("perfbench test:", "FAILED" if failures else "ok")
