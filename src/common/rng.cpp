@@ -1,6 +1,8 @@
 #include "common/rng.hpp"
 
+#include <array>
 #include <cmath>
+#include <cstddef>
 
 namespace approxiot {
 
@@ -67,17 +69,78 @@ std::uint64_t Rng::next_poisson(double mean) noexcept {
   return static_cast<std::uint64_t>(sample);
 }
 
-void Rng::jump() noexcept {
-  static constexpr std::uint64_t kJump[] = {
+namespace {
+
+using Words = std::array<std::uint64_t, 4>;
+
+/// Blackman & Vigna's bit-serial jump: 256 steps of Rng::next()'s state
+/// update, XOR-summing the states the jump polynomial selects. Evaluated
+/// only at compile time, to build kJumpTable; it works on plain words
+/// rather than an Rng so the 65,536 steps that takes stay well inside
+/// the compiler's constant-evaluation budget.
+constexpr Words serial_jump(const Words& start) {
+  constexpr std::uint64_t kJump[] = {
       0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
       0x39abdc4529b1661cULL};
-  std::array<std::uint64_t, 4> acc{};
-  for (std::uint64_t word : kJump) {
+  std::uint64_t s0 = start[0], s1 = start[1], s2 = start[2], s3 = start[3];
+  std::uint64_t a0 = 0, a1 = 0, a2 = 0, a3 = 0;
+  for (const std::uint64_t word : kJump) {
     for (int bit = 0; bit < 64; ++bit) {
-      if (word & (1ULL << bit)) {
-        for (int i = 0; i < 4; ++i) acc[static_cast<size_t>(i)] ^= state_[static_cast<size_t>(i)];
+      if ((word >> bit) & 1) {
+        a0 ^= s0;
+        a1 ^= s1;
+        a2 ^= s2;
+        a3 ^= s3;
       }
-      next();
+      const std::uint64_t t = s1 << 17;
+      s2 ^= s0;
+      s3 ^= s1;
+      s1 ^= s2;
+      s0 ^= s3;
+      s2 ^= t;
+      s3 = (s3 << 45) | (s3 >> 19);
+    }
+  }
+  return Words{a0, a1, a2, a3};
+}
+
+/// The jump as a bit-matrix, nibble by nibble: entry [n][v] is the jump
+/// of the state whose only set bits are the value v in nibble n (bits
+/// 4·(n mod 16) to 4·(n mod 16)+3 of word n / 16). By linearity the jump
+/// of any state is the XOR of its 64 nibbles' entries. 32 KB.
+using JumpTable = std::array<std::array<Words, 16>, 64>;
+
+constexpr JumpTable make_jump_table() {
+  JumpTable table{};
+  for (std::size_t n = 0; n < 64; ++n) {
+    for (unsigned b = 0; b < 4; ++b) {
+      Words unit{};
+      unit[n / 16] = 1ULL << (4 * (n % 16) + b);
+      const Words image = serial_jump(unit);
+      // Values whose top set bit is b: the entry without that bit
+      // (already filled) plus its image.
+      const unsigned top = 1u << b;
+      for (unsigned v = top; v < 2 * top; ++v) {
+        for (std::size_t i = 0; i < 4; ++i) {
+          table[n][v][i] = table[n][v - top][i] ^ image[i];
+        }
+      }
+    }
+  }
+  return table;
+}
+
+alignas(64) constexpr JumpTable kJumpTable = make_jump_table();
+
+}  // namespace
+
+void Rng::jump() noexcept {
+  Words acc{};
+  for (std::size_t w = 0; w < 4; ++w) {
+    std::uint64_t word = state_[w];
+    for (std::size_t n = w * 16; n < w * 16 + 16; ++n, word >>= 4) {
+      const Words& image = kJumpTable[n][word & 0xF];
+      for (std::size_t i = 0; i < 4; ++i) acc[i] ^= image[i];
     }
   }
   state_ = acc;

@@ -13,6 +13,9 @@ namespace {
 
 constexpr std::uint8_t kMagic = 0xC4;
 constexpr std::uint8_t kFormatVersion = 1;
+/// A Θ item in a checkpoint: fixed64 source, double value, fixed64
+/// timestamp.
+constexpr std::uint64_t kItemBytes = 8 + 8 + 8;
 
 }  // namespace
 
@@ -141,6 +144,12 @@ void CheckpointReader::get_theta(ThetaStore& theta) {
       WeightedSample pair;
       pair.weight = get_double();
       const std::uint64_t n_items = get_u64();
+      // Bound the untrusted count by the bytes left before reserving.
+      if (n_items > decoder_.remaining() / kItemBytes) {
+        throw CheckpointError("checkpoint: theta item count " +
+                              std::to_string(n_items) +
+                              " exceeds the payload");
+      }
       pair.items.reserve(n_items);
       for (std::uint64_t i = 0; i < n_items; ++i) {
         Item item;

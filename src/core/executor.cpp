@@ -59,13 +59,13 @@ void SubStreamWorker::collect_into(std::vector<Item>& out) {
 // WorkerGroup
 
 WorkerGroup::WorkerGroup(std::size_t workers, std::size_t total_capacity,
-                         Rng rng, sampling::ReservoirAlgorithm algorithm)
+                         Rng stream, sampling::ReservoirAlgorithm algorithm)
     : algorithm_(algorithm) {
-  rearm(workers, total_capacity, rng);
+  rearm(workers, total_capacity, stream);
 }
 
 void WorkerGroup::rearm(std::size_t workers, std::size_t total_capacity,
-                        const Rng& rng) {
+                        const Rng& stream) {
   if (workers == 0) workers = 1;
   // Clamp: never more workers than reservoir slots, so every active
   // worker holds >= 1 slot and a sub-stream with any capacity cannot
@@ -78,10 +78,9 @@ void WorkerGroup::rearm(std::size_t workers, std::size_t total_capacity,
   const std::size_t base = total_capacity / active_;
   const std::size_t remainder = total_capacity % active_;
 
-  // Worker 0 continues the exact stream WHSampler's single reservoir
-  // would use; further workers reseed from values drawn off a copy of it
-  // (cheap SplitMix expansion, independent streams).
-  Rng stream = rng.split();
+  // Worker 0 draws from `stream` itself — the stream WHSampler's single
+  // reservoir would use; further workers reseed from values drawn off a
+  // copy of it (cheap SplitMix expansion, independent streams).
   Rng seeder = stream;
   for (std::size_t i = 0; i < active_; ++i) {
     const std::size_t cap = base + (i < remainder ? 1 : 0);
@@ -206,7 +205,8 @@ namespace {
 /// shift otherwise.
 class ShardGroup {
  public:
-  void rearm(std::size_t workers, std::size_t total_capacity, const Rng& rng) {
+  void rearm(std::size_t workers, std::size_t total_capacity,
+             const Rng& stream) {
     if (workers == 0) workers = 1;
     // Same clamp as WorkerGroup: every active shard holds >= 1 slot, so
     // c̃ cannot merge to 0 while c > 0 unless the capacity itself is 0.
@@ -217,9 +217,9 @@ class ShardGroup {
 
     const std::size_t base = total_capacity / active;
     const std::size_t remainder = total_capacity % active;
-    // Shard 0 continues the exact stream WHSampler's single reservoir
-    // would use; further shards reseed from values drawn off a copy.
-    Rng stream = rng.split();
+    // Shard 0 draws from `stream` itself — the stream WHSampler's single
+    // reservoir would use; further shards reseed from values drawn off a
+    // copy.
     Rng seeder = stream;
     std::size_t offset = 0;
     for (std::size_t t = 0; t < workers; ++t) {
@@ -346,8 +346,9 @@ class PooledLane final : public SamplingLane {
     // stratum contiguous and in arrival order, the directory sorted by
     // ascending id — the exact order WHSampler's stratify() map
     // produces. Every per-stratum loop below walks that directory, so
-    // RNG consumption (split per stratum, then one jump) matches the
-    // sequential path draw for draw.
+    // RNG consumption (WHSampler's jump chain: stratum k on J^(k+2) of
+    // the lane state, the lane left at J^n) matches the sequential path
+    // draw for draw.
     const std::vector<Stratum>& dir = batch.strata();
     const Item* arena = batch.items().data();
 
@@ -369,14 +370,17 @@ class PooledLane final : public SamplingLane {
     // sorted id order.
     ++calls_;
     route_groups_.assign(dir.size(), nullptr);
-    for (const Stratum& s : dir) {
-      auto size_it = sizes.find(s.id);
+    Rng stream = rng_;
+    stream.jump();
+    for (std::size_t k = 0; k < dir.size(); ++k) {
+      auto size_it = sizes.find(dir[k].id);
       const std::size_t n_i = size_it == sizes.end() ? 0 : size_it->second;
-      GroupEntry& entry = groups_[s.id];
+      GroupEntry& entry = groups_[dir[k].id];
       entry.last_used = calls_;
-      entry.group.rearm(workers_, n_i, rng_);
-      rng_.jump();
-      route_groups_[&s - dir.data()] = &entry.group;
+      rng_ = stream;  // J^(k+1)
+      stream.jump();  // J^(k+2): this stratum's stream
+      entry.group.rearm(workers_, n_i, stream);
+      route_groups_[k] = &entry.group;
     }
 
     AIOT_OBS(

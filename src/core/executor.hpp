@@ -105,17 +105,19 @@ class WorkerGroup {
  public:
   /// `total_capacity` is N_i; each active worker gets floor(N_i/w) with
   /// the remainder spread over the first workers so Σ capacities == N_i.
-  WorkerGroup(std::size_t workers, std::size_t total_capacity, Rng rng,
+  WorkerGroup(std::size_t workers, std::size_t total_capacity, Rng stream,
               sampling::ReservoirAlgorithm algorithm =
                   sampling::ReservoirAlgorithm::kAlgorithmR);
 
   /// Re-splits capacity and re-seeds worker RNG streams for a new
-  /// interval. Worker 0's stream is `rng.split()` — exactly the stream
-  /// WHSampler hands its single reservoir, which is what makes a
-  /// one-worker group bit-identical to the sequential path; workers
-  /// beyond 0 reseed from values drawn off that stream. Reservoir
-  /// buffers are kept.
-  void rearm(std::size_t workers, std::size_t total_capacity, const Rng& rng);
+  /// interval. `stream` is the sub-stream's already-derived stream (the
+  /// caller walks the jump chain; see WHSampler::sample_strata). Worker
+  /// 0 draws from it as is — exactly the stream WHSampler hands its
+  /// single reservoir, which is what makes a one-worker group
+  /// bit-identical to the sequential path; workers beyond 0 reseed from
+  /// values drawn off it. Reservoir buffers are kept.
+  void rearm(std::size_t workers, std::size_t total_capacity,
+             const Rng& stream);
 
   /// Offers items round-robin across active workers (single-threaded
   /// sharding).

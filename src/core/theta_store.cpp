@@ -1,5 +1,8 @@
 #include "core/theta_store.hpp"
 
+#include <iterator>
+#include <utility>
+
 namespace approxiot::core {
 
 const std::vector<WeightedSample> ThetaStore::kEmpty{};
@@ -23,6 +26,23 @@ void ThetaStore::add_pair(SubStreamId id, WeightedSample pair,
   if (pair.items.empty()) return;
   pairs_[id].push_back(std::move(pair));
   note_epoch(policy_epoch);
+}
+
+void ThetaStore::merge(ThetaStore&& delta) {
+  for (auto& [id, pairs] : delta.pairs_) {
+    std::vector<WeightedSample>& target = pairs_[id];
+    if (target.empty()) {
+      target = std::move(pairs);
+    } else {
+      target.insert(target.end(), std::make_move_iterator(pairs.begin()),
+                    std::make_move_iterator(pairs.end()));
+    }
+  }
+  if (delta.epoch_seen_) {
+    note_epoch(delta.epoch_min_);
+    note_epoch(delta.epoch_max_);
+  }
+  delta.clear();
 }
 
 void ThetaStore::note_epoch(std::uint64_t epoch) noexcept {

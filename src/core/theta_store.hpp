@@ -32,6 +32,13 @@ class ThetaStore {
   void add_pair(SubStreamId id, WeightedSample pair,
                 std::uint64_t policy_epoch = 0);
 
+  /// Splices `delta`'s pairs onto the end of this store's (moved, not
+  /// copied; each sub-stream keeps both sides' order) and folds in its
+  /// epoch span — the same store add()-ing delta's bundles here one by
+  /// one would give. Lets a writer build a batch outside a lock and hold
+  /// the lock only for the splice. `delta` is left empty.
+  void merge(ThetaStore&& delta);
+
   void clear() noexcept {
     pairs_.clear();
     epoch_min_ = 0;

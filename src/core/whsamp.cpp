@@ -55,19 +55,26 @@ SampledBundle WHSampler::sample_strata(const StratifiedBatch& strata,
   // update its weight. Strata are visited in ascending id order — the
   // same order the legacy map iteration used, so the RNG stream each
   // sub-stream draws from is unchanged.
+  //
+  // Per-stratum streams walk one jump chain from the sampler state s:
+  // stratum k draws from J^(k+2)(s) and the sampler ends the call at
+  // J^n(s) for n strata — n + 1 jumps per call.
   const Item* arena = strata.items().data();
   out.sample.reserve_items(std::min(sample_size, strata.item_count()));
   const auto& dir = strata.strata();
+  Rng stream = rng_;
+  stream.jump();
   for (std::size_t k = 0; k < dir.size(); ++k) {
     const Stratum& s = dir[k];
     const std::uint64_t c_i = s.len;
     auto size_it = sizes.find(s.id);
     const std::size_t n_i = size_it == sizes.end() ? 0 : size_it->second;
 
+    rng_ = stream;  // J^(k+1)(s)
+    stream.jump();  // J^(k+2)(s): this stratum's stream
     // Rearm instead of reconstruct: same capacity/RNG/counters as a
     // fresh reservoir, but the heap buffer survives.
-    reservoir_.rearm(n_i, rng_.split());
-    rng_.jump();  // keep per-stratum streams independent
+    reservoir_.rearm(n_i, stream);
     reservoir_.offer_span(arena + s.offset, s.len);
 
     const double w_in_i = infos_[k].weight;

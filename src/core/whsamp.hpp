@@ -51,7 +51,10 @@ class WHSampler {
 
   /// Span-based hot path: samples pre-stratified input directly from the
   /// batch arena — no per-stratum item copies. Callers that already hold
-  /// a StratifiedBatch (the node layer) use this entry point.
+  /// a StratifiedBatch (the node layer) use this entry point. With the
+  /// sampler's RNG at state s and n strata, stratum k (ascending id)
+  /// draws from s jumped k + 2 times and the sampler leaves at s jumped
+  /// n times.
   [[nodiscard]] SampledBundle sample_strata(const StratifiedBatch& strata,
                                             std::size_t sample_size,
                                             const WeightMap& w_in);

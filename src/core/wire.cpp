@@ -13,6 +13,9 @@ constexpr std::uint8_t kVersion = 0x01;
 /// runtime that never publishes a policy stay byte-identical to the
 /// pre-control-plane format; decoders accept both.
 constexpr std::uint8_t kVersionEpoch = 0x02;
+/// Smallest encoded item: a one-byte varint source id, a double value
+/// and a fixed64 timestamp.
+constexpr std::size_t kMinItemBytes = 1 + 8 + 8;
 }  // namespace
 
 namespace {
@@ -111,6 +114,13 @@ Result<ItemBundle> decode_bundle(const std::vector<std::uint8_t>& payload) {
 
   auto n_items = dec.get_varint();
   if (!n_items) return n_items.status();
+  // The count is untrusted: bound it by what the remaining bytes can hold
+  // before reserve() turns a corrupt varint into a huge allocation.
+  if (n_items.value() > dec.remaining() / kMinItemBytes) {
+    return Status::out_of_range("bundle item count " +
+                                std::to_string(n_items.value()) +
+                                " exceeds the payload");
+  }
   bundle.items.reserve(static_cast<std::size_t>(n_items.value()));
   for (std::uint64_t i = 0; i < n_items.value(); ++i) {
     auto id = dec.get_varint();

@@ -895,11 +895,14 @@ std::optional<IntervalMessage> ConcurrentEdgeTree::execute_node_interval(
                             epoch);
         }
         t_phase = t_done;);
+    // Build the interval's Θ pairs (one item-vector allocation per pair)
+    // outside theta_mutex_; the lock covers only the splice, so queries
+    // and window closes never wait on the copies.
+    core::ThetaStore delta;
+    for (const core::SampledBundle& bundle : outputs) delta.add(bundle);
     {
       std::lock_guard<std::mutex> lock(theta_mutex_);
-      for (const core::SampledBundle& bundle : outputs) {
-        theta_.add(bundle);
-      }
+      theta_.merge(std::move(delta));
     }
     AIOT_OBS(
         if (tracer_ != nullptr &&

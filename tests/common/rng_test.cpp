@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -160,6 +161,87 @@ TEST(RngTest, JumpProducesNonOverlappingStream) {
     if (base_values.count(jumped.next()) > 0) ++collisions;
   }
   EXPECT_EQ(collisions, 0);
+}
+
+// The reference jump: Blackman & Vigna's bit-serial loop, kept here as
+// an independent oracle for the table-driven Rng::jump(). It steps its
+// own copy of the xoshiro256** state update so that a fault shared by
+// the library's generator and table cannot cancel out.
+using Words = std::array<std::uint64_t, 4>;
+
+Words serial_jump(Words s) {
+  constexpr std::uint64_t kJump[] = {0x180ec6d33cfd0abaULL,
+                                     0xd5a61266f0c9392cULL,
+                                     0xa9582618e03fc9aaULL,
+                                     0x39abdc4529b1661cULL};
+  Words acc{};
+  for (const std::uint64_t word : kJump) {
+    for (int bit = 0; bit < 64; ++bit) {
+      if (word & (1ULL << bit)) {
+        for (std::size_t i = 0; i < 4; ++i) acc[i] ^= s[i];
+      }
+      const std::uint64_t t = s[1] << 17;
+      s[2] ^= s[0];
+      s[3] ^= s[1];
+      s[1] ^= s[2];
+      s[0] ^= s[3];
+      s[2] ^= t;
+      s[3] = (s[3] << 45) | (s[3] >> 19);
+    }
+  }
+  return acc;
+}
+
+Rng rng_at(const Words& s) {
+  Rng rng;
+  rng.restore_state(Rng::State{s, false, 0.0});
+  return rng;
+}
+
+void expect_jump_matches_serial(const Words& s) {
+  Rng jumped = rng_at(s);
+  jumped.jump();
+  const Words once = serial_jump(s);
+  ASSERT_EQ(jumped.save_state().s, once);
+  // split(n) is the state jumped n + 1 times.
+  Words expected = once;
+  for (unsigned n = 0; n <= 3; ++n) {
+    ASSERT_EQ(rng_at(s).split(n).save_state().s, expected) << "split " << n;
+    expected = serial_jump(expected);
+  }
+}
+
+TEST(RngTest, JumpMatchesSerialLoopOnSeededStates) {
+  SplitMix64 seeds(0x5eedULL);
+  for (int k = 0; k < 1000; ++k) {
+    Words s{};
+    for (auto& word : s) word = seeds.next();
+    ASSERT_NO_FATAL_FAILURE(expect_jump_matches_serial(s)) << "state " << k;
+  }
+}
+
+TEST(RngTest, JumpMatchesSerialLoopOnSingleBitAndAllOnesStates) {
+  for (std::size_t bit = 0; bit < 256; ++bit) {
+    Words s{};
+    s[bit / 64] = 1ULL << (bit % 64);
+    ASSERT_NO_FATAL_FAILURE(expect_jump_matches_serial(s)) << "bit " << bit;
+  }
+  expect_jump_matches_serial(Words{~0ULL, ~0ULL, ~0ULL, ~0ULL});
+}
+
+TEST(RngTest, JumpedStreamMatchesRecordedValue) {
+  // Recorded from the original bit-serial jump.
+  Rng rng(41);
+  rng.jump();
+  EXPECT_EQ(rng.next(), 0xdf02efd0e84f3bc4ULL);
+}
+
+TEST(RngTest, JumpDropsCachedGaussian) {
+  Rng rng(47);
+  (void)rng.next_gaussian();  // caches the second variate of the pair
+  ASSERT_TRUE(rng.save_state().has_cached_gaussian);
+  rng.jump();
+  EXPECT_FALSE(rng.save_state().has_cached_gaussian);
 }
 
 TEST(RngTest, SplitStreamsAreDistinct) {

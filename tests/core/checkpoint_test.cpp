@@ -146,6 +146,23 @@ TEST(CheckpointTest, KindMismatchAndTruncationThrow) {
   EXPECT_THROW(unread.expect_exhausted(), CheckpointError);  // trailing
 }
 
+TEST(CheckpointTest, ThetaItemCountBeyondPayloadThrowsCheckpointError) {
+  // One stream, one pair, then an item count no remaining bytes can hold:
+  // reserving it first would escape as length_error instead of the
+  // typed error.
+  CheckpointWriter writer(CheckpointKind::kStage);
+  writer.put_u64(1);   // streams
+  writer.put_i64(3);   // stream id
+  writer.put_u64(1);   // pairs
+  writer.put_double(2.0);
+  writer.put_u64(std::uint64_t{1} << 62);
+  const Checkpoint snapshot = writer.finish();
+
+  CheckpointReader reader(snapshot, CheckpointKind::kStage);
+  ThetaStore theta;
+  EXPECT_THROW(reader.get_theta(theta), CheckpointError);
+}
+
 TEST(CheckpointTest, StageRoundTripContinuesBitIdentically) {
   StageConfig config;
   config.engine = EngineKind::kApproxIoT;

@@ -14,9 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/whsamp.hpp"
 
 namespace approxiot::core {
@@ -110,6 +113,42 @@ TEST(SamplingExecutorTest, InlineAndPooledDispatchProduceIdenticalOutput) {
     const std::size_t budget = workload.next_below(200);
     expect_bundles_identical(inline_lane->sample(items, budget, WeightMap{}),
                              pooled_lane->sample(items, budget, WeightMap{}));
+  }
+}
+
+/// A digest of everything a bundle carries, in output order.
+std::uint64_t digest(const SampledBundle& bundle) {
+  std::uint64_t h = 0;
+  for (const auto& [id, items] : bundle.sample) {
+    h = mix64(h ^ id.value());
+    h = mix64(h ^ std::bit_cast<std::uint64_t>(bundle.w_out.get(id)));
+    for (const Item& item : items) {
+      h = mix64(h ^ std::bit_cast<std::uint64_t>(item.value));
+      h = mix64(h ^ static_cast<std::uint64_t>(item.created_at_us));
+    }
+  }
+  return h;
+}
+
+TEST(SamplingExecutorTest, MultiWorkerLaneMatchesRecordedGolden) {
+  // A sharded lane has no sequential twin to be compared with, so its
+  // stream derivation (the per-stratum jump chain, shard reseeding) is
+  // pinned to digests recorded with the original bit-serial jump and
+  // split()-per-stratum derivation.
+  PooledSamplingExecutor::Options options;
+  options.workers_per_lane = 3;
+  options.min_items_to_dispatch = SIZE_MAX;
+  PooledSamplingExecutor executor(options);
+  auto lane = executor.create_lane(Rng(2018), WHSampConfig{});
+  ASSERT_EQ(lane->workers(), 3u);
+
+  const std::uint64_t golden[] = {0x75335d540f635058ULL, 0x172cbd397f2f3028ULL,
+                                  0xff28c21c7bdebf22ULL, 0x65da4bbc443b0f4eULL};
+  Rng workload(13);
+  for (std::size_t interval = 0; interval < std::size(golden); ++interval) {
+    const auto items = random_items(workload, 600, 5);
+    EXPECT_EQ(digest(lane->sample(items, 90, WeightMap{})), golden[interval])
+        << "interval " << interval;
   }
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <iterator>
 
 namespace approxiot::core {
 namespace {
@@ -162,6 +164,64 @@ TEST(EdgeTreeTest, MetricsPerLayerShrink) {
   ASSERT_EQ(metrics.items_forwarded_per_layer.size(), 2u);
   EXPECT_GE(metrics.items_forwarded_per_layer[0],
             metrics.items_forwarded_per_layer[1]);
+}
+
+// Golden output: a seeded WHS tree's results, bit for bit, as recorded
+// from the original bit-serial Rng::jump() and the split()-per-stratum
+// stream derivation. Every other equivalence test compares two engines
+// built on the same RNG code, so only this one notices a stream
+// derivation that is wrong everywhere (a bad jump table, an off-by-one
+// in the per-stratum jump chain).
+TEST(EdgeTreeTest, SeededOutputMatchesRecordedGolden) {
+  EdgeTreeConfig config;
+  config.engine = EngineKind::kApproxIoT;
+  config.layer_widths = {6, 3, 2};
+  config.sampling_fraction = 0.2;
+  config.rng_seed = 2018;
+  EdgeTree tree(config);
+
+  struct Golden {
+    std::uint64_t sum_point, sum_margin, mean_point, mean_margin;
+    std::uint64_t sampled_items;
+  };
+  const Golden golden[] = {
+      {0x4101b1b15606d4caULL, 0x40b7d8b6ef78f9d7ULL, 0x4048288a5b838633ULL,
+       0x4000477c3385c948ULL, 608},
+      {0x4102a16f88388389ULL, 0x40b7add59cf684e4ULL, 0x40496fde97da78e1ULL,
+       0x40002a3659676fe3ULL, 608},
+      {0x4101e48a68c0ba98ULL, 0x40b7ccf6b962374eULL, 0x40486df700586062ULL,
+       0x40003f76987f1f9cULL, 608},
+      {0x41013a626803977fULL, 0x40b822b633ccf4b5ULL, 0x404785a513d10575ULL,
+       0x40007a00235cd004ULL, 608},
+  };
+  std::uint64_t tick = 0;
+  for (std::size_t w = 0; w < std::size(golden); ++w) {
+    for (int t = 0; t < 2; ++t, ++tick) {
+      std::vector<std::vector<Item>> leaves(6);
+      for (std::size_t l = 0; l < leaves.size(); ++l) {
+        // Five sub-streams interleaved item by item, a different length
+        // and phase per leaf.
+        for (std::uint64_t i = 0; i < 150 + 40 * l; ++i) {
+          const SubStreamId id{(i + l) % 5 + 1};
+          const double value =
+              1.0 + static_cast<double>((i * 37 + l * 11 + tick * 5) % 97);
+          leaves[l].push_back(Item{id, value, static_cast<std::int64_t>(i)});
+        }
+      }
+      tree.tick(leaves);
+    }
+    const ApproxResult r = tree.close_window();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.sum.point), golden[w].sum_point)
+        << "window " << w;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.sum.margin), golden[w].sum_margin)
+        << "window " << w;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.mean.point), golden[w].mean_point)
+        << "window " << w;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.mean.margin),
+              golden[w].mean_margin)
+        << "window " << w;
+    EXPECT_EQ(r.sampled_items, golden[w].sampled_items) << "window " << w;
+  }
 }
 
 TEST(EdgeTreeTest, RunQueryDoesNotClear) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "core/error.hpp"
 #include "core/estimators.hpp"
 #include "core/theta_store.hpp"
 
@@ -59,6 +63,125 @@ TEST(ThetaStoreTest, ClearEmpties) {
   theta.add_pair(SubStreamId{1}, pair_of(1.0, {1}));
   theta.clear();
   EXPECT_TRUE(theta.empty());
+}
+
+// --- ThetaStore::merge: splicing a delta equals adding its bundles -------
+
+struct StratumSpec {
+  std::uint64_t id;
+  double weight;
+  std::vector<double> values;
+};
+
+SampledBundle bundle_of(std::uint64_t epoch,
+                        const std::vector<StratumSpec>& strata) {
+  SampledBundle bundle;
+  bundle.policy_epoch = epoch;
+  for (const StratumSpec& s : strata) {
+    const SubStreamId id{s.id};
+    bundle.w_out.set(id, s.weight);
+    std::vector<Item> items;
+    for (std::size_t i = 0; i < s.values.size(); ++i) {
+      items.push_back(Item{id, s.values[i], static_cast<std::int64_t>(i)});
+    }
+    bundle.sample[id] = std::move(items);
+  }
+  return bundle;
+}
+
+const std::vector<SampledBundle>& merge_bundles() {
+  static const std::vector<SampledBundle> bundles = {
+      bundle_of(2, {{1, 2.0, {1, 2}}, {3, 4.0, {7}}}),
+      bundle_of(3, {{1, 1.5, {5}}, {2, 3.0, {4, 6, 8}}}),
+      bundle_of(1, {{2, 2.5, {9}}, {4, 1.0, {10, 11}}}),
+      bundle_of(4, {{1, 6.0, {12, 13, 14}}, {3, 2.0, {15}}}),
+  };
+  return bundles;
+}
+
+void expect_same_theta(const ThetaStore& got, const ThetaStore& want) {
+  ASSERT_EQ(got.sub_streams(), want.sub_streams());
+  for (const SubStreamId id : want.sub_streams()) {
+    const auto& g = got.pairs(id);
+    const auto& w = want.pairs(id);
+    ASSERT_EQ(g.size(), w.size()) << "sub-stream " << id.value();
+    for (std::size_t p = 0; p < w.size(); ++p) {
+      EXPECT_EQ(g[p].weight, w[p].weight);
+      ASSERT_EQ(g[p].items.size(), w[p].items.size());
+      for (std::size_t i = 0; i < w[p].items.size(); ++i) {
+        EXPECT_EQ(g[p].items[i].source, w[p].items[i].source);
+        EXPECT_EQ(g[p].items[i].value, w[p].items[i].value);
+        EXPECT_EQ(g[p].items[i].created_at_us, w[p].items[i].created_at_us);
+      }
+    }
+  }
+  const ThetaStore::EpochSpan gs = got.epoch_span();
+  const ThetaStore::EpochSpan ws = want.epoch_span();
+  EXPECT_EQ(gs.seen, ws.seen);
+  EXPECT_EQ(gs.min, ws.min);
+  EXPECT_EQ(gs.max, ws.max);
+  const ApproxResult gr = approximate_query(got);
+  const ApproxResult wr = approximate_query(want);
+  EXPECT_EQ(gr.sum.point, wr.sum.point);
+  EXPECT_EQ(gr.sum.margin, wr.sum.margin);
+  EXPECT_EQ(gr.mean.point, wr.mean.point);
+  EXPECT_EQ(gr.mean.margin, wr.mean.margin);
+  EXPECT_EQ(gr.sampled_items, wr.sampled_items);
+  EXPECT_EQ(gr.policy_epoch_min, wr.policy_epoch_min);
+  EXPECT_EQ(gr.policy_epoch, wr.policy_epoch);
+}
+
+/// Bundles [0, split) added to the target, [split, end) to a delta that
+/// is then merged in, against all of them added to one store in order.
+void check_merge_at(std::size_t split) {
+  const auto& bundles = merge_bundles();
+  ThetaStore reference;
+  ThetaStore target;
+  ThetaStore delta;
+  for (std::size_t b = 0; b < bundles.size(); ++b) {
+    reference.add(bundles[b]);
+    (b < split ? target : delta).add(bundles[b]);
+  }
+  target.merge(std::move(delta));
+  expect_same_theta(target, reference);
+  EXPECT_TRUE(delta.empty());
+  EXPECT_FALSE(delta.epoch_span().seen);
+}
+
+TEST(ThetaStoreTest, MergeEqualsAddingBundlesOneByOne) {
+  check_merge_at(2);  // shared and new sub-streams on both sides
+}
+
+TEST(ThetaStoreTest, MergeIntoEmptyTarget) { check_merge_at(0); }
+
+TEST(ThetaStoreTest, MergeEmptyDeltaChangesNothing) {
+  check_merge_at(merge_bundles().size());
+}
+
+TEST(ThetaStoreTest, MergeDeltaAloneCarriesNonZeroEpoch) {
+  const SampledBundle late = bundle_of(7, {{1, 2.0, {3, 4}}});
+  ThetaStore empty_target;
+  ThetaStore delta;
+  delta.add(late);
+  empty_target.merge(std::move(delta));
+  ThetaStore reference;
+  reference.add(late);
+  expect_same_theta(empty_target, reference);
+  EXPECT_EQ(empty_target.min_policy_epoch(), 7u);
+  EXPECT_EQ(empty_target.max_policy_epoch(), 7u);
+
+  // An epoch-0 window that a delta of epoch 7 extends.
+  const SampledBundle early = bundle_of(0, {{2, 1.0, {5}}});
+  ThetaStore target;
+  target.add(early);
+  delta.add(late);
+  target.merge(std::move(delta));
+  reference.clear();
+  reference.add(early);
+  reference.add(late);
+  expect_same_theta(target, reference);
+  EXPECT_EQ(target.min_policy_epoch(), 0u);
+  EXPECT_EQ(target.max_policy_epoch(), 7u);
 }
 
 // --- Estimators: the worked example of Fig. 3 --------------------------

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "flowqueue/serde.hpp"
+
 namespace approxiot::core {
 namespace {
 
@@ -107,6 +111,33 @@ TEST(WireTest, RejectsTrailingGarbage) {
   auto bytes = encode_bundle(sample_bundle());
   bytes.push_back(0xFF);
   EXPECT_FALSE(decode_bundle(bytes).is_ok());
+}
+
+TEST(WireTest, RejectsItemCountBeyondPayloadWithoutAllocating) {
+  // 13 bytes: magic, v1, no weights, then a varint item count no payload
+  // of this size can hold. Reserving it first would throw length_error
+  // (2^62 items of 24 bytes) or bad_alloc (2^58) instead of a Status.
+  for (const std::uint64_t count : {std::uint64_t{1} << 62,
+                                    std::uint64_t{1} << 58}) {
+    flowqueue::Encoder enc;
+    enc.put_varint(0xA7);
+    enc.put_varint(0x01);
+    enc.put_varint(0);
+    enc.put_varint(count);
+    const Result<ItemBundle> decoded = decode_bundle(enc.bytes());
+    ASSERT_FALSE(decoded.is_ok()) << "count=" << count;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kOutOfRange);
+  }
+  // One 17-byte item claimed as two: the bound rejects it up front.
+  flowqueue::Encoder enc;
+  enc.put_varint(0xA7);
+  enc.put_varint(0x01);
+  enc.put_varint(0);
+  enc.put_varint(2);
+  enc.put_varint(1);
+  enc.put_double(1.0);
+  enc.put_fixed64(0);
+  EXPECT_FALSE(decode_bundle(enc.bytes()).is_ok());
 }
 
 TEST(WireTest, RejectsEmptyPayload) {
