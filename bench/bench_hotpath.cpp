@@ -85,7 +85,13 @@ class LegacySampler {
     for (const auto& [id, stratum] : strata) {
       infos.push_back(sampling::SubStreamInfo{id, stratum.size(), 0.0, 1.0});
     }
-    const sampling::SizeMap sizes = policy_->allocate(sample_size, infos);
+    // The seed allocator returned a map of N_i; rebuild one so the
+    // replica keeps that per-call cost.
+    policy_->allocate(sample_size, infos, flat_sizes_);
+    std::map<SubStreamId, std::size_t> sizes;
+    for (std::size_t k = 0; k < infos.size(); ++k) {
+      sizes[infos[k].id] = flat_sizes_[k];
+    }
 
     for (auto& [id, stratum] : strata) {
       const std::uint64_t c_i = stratum.size();
@@ -114,6 +120,7 @@ class LegacySampler {
  private:
   Rng rng_;
   std::unique_ptr<sampling::AllocationPolicy> policy_;
+  std::vector<std::size_t> flat_sizes_;
 };
 
 core::ItemBundle legacy_to_bundle(const LegacyBundle& bundle) {

@@ -17,6 +17,24 @@ constexpr std::uint8_t kFormatVersion = 1;
 /// timestamp.
 constexpr std::uint64_t kItemBytes = 8 + 8 + 8;
 
+/// Writers emit valid weights and strictly ascending sub-stream ids.
+double get_weight(CheckpointReader& reader) {
+  const double weight = reader.get_double();
+  if (!is_valid_weight(weight)) {
+    throw CheckpointError("checkpoint: weight is not finite and positive");
+  }
+  return weight;
+}
+
+SubStreamId get_id_after(CheckpointReader& reader, std::uint64_t k,
+                         SubStreamId prev) {
+  const SubStreamId id{static_cast<std::uint64_t>(reader.get_i64())};
+  if (k > 0 && !(prev < id)) {
+    throw CheckpointError("checkpoint: sub-stream ids not strictly ascending");
+  }
+  return id;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -127,22 +145,23 @@ Rng::State CheckpointReader::get_rng() {
 void CheckpointReader::get_weight_map(WeightMap& weights) {
   weights.clear();
   const std::uint64_t n = get_u64();
+  SubStreamId id{};
   for (std::uint64_t k = 0; k < n; ++k) {
-    const SubStreamId id{static_cast<std::uint64_t>(get_i64())};
-    const double weight = get_double();
-    weights.set(id, weight);
+    id = get_id_after(*this, k, id);
+    weights.set(id, get_weight(*this));
   }
 }
 
 void CheckpointReader::get_theta(ThetaStore& theta) {
   theta.clear();
   const std::uint64_t n_streams = get_u64();
+  SubStreamId id{};
   for (std::uint64_t s = 0; s < n_streams; ++s) {
-    const SubStreamId id{static_cast<std::uint64_t>(get_i64())};
+    id = get_id_after(*this, s, id);
     const std::uint64_t n_pairs = get_u64();
     for (std::uint64_t p = 0; p < n_pairs; ++p) {
       WeightedSample pair;
-      pair.weight = get_double();
+      pair.weight = get_weight(*this);
       const std::uint64_t n_items = get_u64();
       // Bound the untrusted count by the bytes left before reserving.
       if (n_items > decoder_.remaining() / kItemBytes) {

@@ -364,7 +364,7 @@ class PooledLane final : public SamplingLane {
       infos_.push_back(
           sampling::SubStreamInfo{s.id, s.len, 0.0, weights_scratch_[k]});
     }
-    const sampling::SizeMap sizes = policy_->allocate(sample_size, infos_);
+    policy_->allocate(sample_size, infos_, sizes_);
 
     // Rearm the long-lived shard group of every sub-stream present, in
     // sorted id order.
@@ -373,13 +373,11 @@ class PooledLane final : public SamplingLane {
     Rng stream = rng_;
     stream.jump();
     for (std::size_t k = 0; k < dir.size(); ++k) {
-      auto size_it = sizes.find(dir[k].id);
-      const std::size_t n_i = size_it == sizes.end() ? 0 : size_it->second;
       GroupEntry& entry = groups_[dir[k].id];
       entry.last_used = calls_;
       rng_ = stream;  // J^(k+1)
       stream.jump();  // J^(k+2): this stratum's stream
-      entry.group.rearm(workers_, n_i, stream);
+      entry.group.rearm(workers_, sizes_[k], stream);
       route_groups_[k] = &entry.group;
     }
 
@@ -460,6 +458,8 @@ class PooledLane final : public SamplingLane {
     // Each group's kept slice is appended straight into the output
     // bundle's arena — no intermediate per-stratum vector.
     out.sample.reserve_items(std::min(sample_size, batch.item_count()));
+    out.sample.reserve_strata(dir.size());
+    out.w_out.reserve(dir.size());
     for (std::size_t k = 0; k < dir.size(); ++k) {
       const ShardGroup::MergeStats merged =
           route_groups_[k]->merge_into(dir[k].id, out.sample);
@@ -542,6 +542,8 @@ class PooledLane final : public SamplingLane {
   std::vector<sampling::SubStreamInfo> infos_;
   /// Per-interval W^in_i from get_for_strata()'s block merge.
   std::vector<double> weights_scratch_;
+  /// Per-interval N_i, indexed like the stratum directory.
+  std::vector<std::size_t> sizes_;
   std::vector<ShardGroup*> route_groups_;
   LaneObs obs_;
 };

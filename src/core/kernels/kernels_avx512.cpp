@@ -101,10 +101,12 @@ void count_pass_avx512(const Item* data, std::size_t n, CountScratch s,
         leave_narrow = true;
         break;
       }
-      const __m256i na = _mm512_cvtepi64_epi32(keys_a);
-      const __m256i nb = _mm512_cvtepi64_epi32(keys_b);
+      // All-ones masked forms: same lanes as the unmasked intrinsics,
+      // without GCC's self-initialised "undefined" merge source.
+      const __m256i na = _mm512_maskz_cvtepi64_epi32(0xFF, keys_a);
+      const __m256i nb = _mm512_maskz_cvtepi64_epi32(0xFF, keys_b);
       const __m512i k32 =
-          _mm512_inserti64x4(_mm512_castsi256_si512(na), nb, 1);
+          _mm512_maskz_inserti64x4(0xFF, _mm512_castsi256_si512(na), nb, 1);
       __m512i acc0 = _mm512_setzero_si512();
       __m512i acc1 = _mm512_setzero_si512();
       __m512i acc2 = _mm512_setzero_si512();
@@ -199,7 +201,7 @@ void count_pass_avx512(const Item* data, std::size_t n, CountScratch s,
         // All eight lanes hit: narrow slot+1 to 32 bits, subtract one,
         // and store the block's slots with a single write; counts bump
         // from the freshly-stored (L1-resident) slot array.
-        const __m256i s32 = _mm512_cvtepi64_epi32(slots1);
+        const __m256i s32 = _mm512_maskz_cvtepi64_epi32(0xFF, slots1);
         _mm256_storeu_si256(
             reinterpret_cast<__m256i*>(item_slots + i),
             _mm256_sub_epi32(s32, _mm256_set1_epi32(1)));

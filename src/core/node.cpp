@@ -84,17 +84,14 @@ std::vector<SampledBundle> SamplingNode::process_interval(
 
     // Fig. 3 rule: resolve the effective input weights. Weights that
     // travelled with this bundle win; otherwise fall back to the last
-    // weight remembered for the sub-stream (default 1 at sources).
-    WeightMap effective = remembered_weights_;
-    effective.update_from(bundle.w_in);
-
-    SampledBundle out =
-        lane_->sample_strata(strata_scratch_, pair_budget, effective);
-    out.policy_epoch = policy_epoch_;
-
-    // Remember the *input* weights for sub-streams whose weight arrived
-    // with this bundle, so later intervals can resolve weight-less items.
+    // weight remembered for the sub-stream (default 1 at sources). That
+    // is the remembered map updated with this bundle's weights, which
+    // later intervals need anyway to resolve weight-less items.
     remembered_weights_.update_from(bundle.w_in);
+
+    SampledBundle out = lane_->sample_strata(strata_scratch_, pair_budget,
+                                             remembered_weights_);
+    out.policy_epoch = policy_epoch_;
 
     metrics_.items_out += out.item_count();
     outputs.push_back(std::move(out));

@@ -33,8 +33,8 @@ std::vector<SampledBundle> SrsNode::process_interval(
     if (bundle.items.empty()) continue;
     metrics_.items_in += bundle.items.size();
 
-    WeightMap effective = remembered_weights_;
-    effective.update_from(bundle.w_in);
+    // Fig. 3 rule: the remembered weights, updated with this bundle's,
+    // are the effective W^in.
     remembered_weights_.update_from(bundle.w_in);
 
     const double ht = sampler_.weight();  // 1/p
@@ -48,8 +48,9 @@ std::vector<SampledBundle> SrsNode::process_interval(
     SampledBundle out;
     out.sample.assign(kept_scratch_, stratify_scratch_);
     out.policy_epoch = policy_epoch_;
+    out.w_out.reserve(out.sample.size());
     for (const Stratum& s : out.sample.strata()) {
-      out.w_out.set(s.id, effective.get(s.id) * ht);
+      out.w_out.set(s.id, remembered_weights_.get(s.id) * ht);
       metrics_.items_out += s.len;
     }
     outputs.push_back(std::move(out));

@@ -169,6 +169,7 @@ class StratifiedBatch {
   }
 
   void reserve_items(std::size_t n) { arena_.reserve(n); }
+  void reserve_strata(std::size_t n) { dir_.reserve(n); }
 
   /// Rebuilds the batch as the stable stratification of `items` (two-pass
   /// counting build, see header comment) using the caller's reusable

@@ -1,5 +1,6 @@
 #include "core/theta_store.hpp"
 
+#include <algorithm>
 #include <iterator>
 #include <utility>
 
@@ -30,9 +31,10 @@ void ThetaStore::add_pair(SubStreamId id, WeightedSample pair,
 
 void ThetaStore::merge(ThetaStore&& delta) {
   for (auto& [id, pairs] : delta.pairs_) {
+    if (pairs.empty()) continue;
     std::vector<WeightedSample>& target = pairs_[id];
-    if (target.empty()) {
-      target = std::move(pairs);
+    if (target.empty() && target.capacity() < pairs.size()) {
+      target.swap(pairs);  // the cold buffer leaves with delta
     } else {
       target.insert(target.end(), std::make_move_iterator(pairs.begin()),
                     std::make_move_iterator(pairs.end()));
@@ -42,7 +44,26 @@ void ThetaStore::merge(ThetaStore&& delta) {
     note_epoch(delta.epoch_min_);
     note_epoch(delta.epoch_max_);
   }
-  delta.clear();
+  delta.reset();
+}
+
+void ThetaStore::clear() noexcept {
+  for (auto it = pairs_.begin(); it != pairs_.end();) {
+    it = it->second.empty() ? pairs_.erase(it) : std::next(it);
+  }
+  reset();
+}
+
+void ThetaStore::reset() noexcept {
+  for (auto& [id, pairs] : pairs_) pairs.clear();
+  epoch_min_ = 0;
+  epoch_max_ = 0;
+  epoch_seen_ = false;
+}
+
+bool ThetaStore::empty() const noexcept {
+  return std::all_of(pairs_.begin(), pairs_.end(),
+                     [](const auto& entry) { return entry.second.empty(); });
 }
 
 void ThetaStore::note_epoch(std::uint64_t epoch) noexcept {
@@ -59,7 +80,9 @@ void ThetaStore::note_epoch(std::uint64_t epoch) noexcept {
 std::vector<SubStreamId> ThetaStore::sub_streams() const {
   std::vector<SubStreamId> out;
   out.reserve(pairs_.size());
-  for (const auto& [id, _] : pairs_) out.push_back(id);
+  for (const auto& [id, pairs] : pairs_) {
+    if (!pairs.empty()) out.push_back(id);
+  }
   return out;
 }
 

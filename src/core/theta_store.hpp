@@ -36,17 +36,18 @@ class ThetaStore {
   /// copied; each sub-stream keeps both sides' order) and folds in its
   /// epoch span — the same store add()-ing delta's bundles here one by
   /// one would give. Lets a writer build a batch outside a lock and hold
-  /// the lock only for the splice. `delta` is left empty.
+  /// the lock only for the splice: pairs land in the storage clear()
+  /// kept, or take delta's buffer where there is none, so a warm splice
+  /// neither allocates nor frees. `delta` is left empty and keeps any
+  /// storage it displaced.
   void merge(ThetaStore&& delta);
 
-  void clear() noexcept {
-    pairs_.clear();
-    epoch_min_ = 0;
-    epoch_max_ = 0;
-    epoch_seen_ = false;
-  }
+  /// Empties Θ for the next window. Sub-streams of the closing window
+  /// keep their pair vector's capacity for the next one; those absent
+  /// from the whole window are dropped.
+  void clear() noexcept;
 
-  [[nodiscard]] bool empty() const noexcept { return pairs_.empty(); }
+  [[nodiscard]] bool empty() const noexcept;
 
   /// All sub-streams with at least one pair.
   [[nodiscard]] std::vector<SubStreamId> sub_streams() const;
@@ -95,7 +96,10 @@ class ThetaStore {
 
  private:
   void note_epoch(std::uint64_t epoch) noexcept;
+  /// Empties every pair vector, keeping all entries and their capacity.
+  void reset() noexcept;
 
+  /// Sub-streams of this window and the last; empty vectors are not in Θ.
   std::map<SubStreamId, std::vector<WeightedSample>> pairs_;
   std::uint64_t epoch_min_{0};
   std::uint64_t epoch_max_{0};

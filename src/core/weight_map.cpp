@@ -6,76 +6,77 @@
 
 namespace approxiot::core {
 
-void WeightMap::get_for_strata(const std::vector<Stratum>& dir,
-                               double* out) const noexcept {
-  // Two-pointer merge: both sequences ascend, so each sorted-index entry
-  // is visited at most once across the whole directory.
-  std::size_t oi = 0;
-  const std::size_t m = order_.size();
-  for (std::size_t k = 0; k < dir.size(); ++k) {
-    const SubStreamId id = dir[k].id;
-    while (oi < m && slots_[order_[oi]].id < id) ++oi;
-    out[k] = (oi < m && slots_[order_[oi]].id == id)
-                 ? slots_[order_[oi]].weight
-                 : 1.0;
-  }
+namespace {
+
+bool id_less(const WeightMap::value_type& entry, SubStreamId id) noexcept {
+  return entry.first < id;
 }
 
-std::size_t WeightMap::find_slot(SubStreamId id) const noexcept {
-  if (slots_.empty()) return npos;
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t slot = static_cast<std::size_t>(hash(id)) & mask;
-  while (slots_[slot].used) {
-    if (slots_[slot].id == id) return slot;
-    slot = (slot + 1) & mask;
+}  // namespace
+
+WeightMap::const_iterator WeightMap::find(SubStreamId id) const noexcept {
+  const auto it = std::lower_bound(begin(), end(), id, id_less);
+  return it != end() && it->first == id ? it : end();
+}
+
+void WeightMap::get_for_strata(const std::vector<Stratum>& dir,
+                               double* out) const noexcept {
+  // Two-pointer merge: both sequences ascend, so each entry is visited at
+  // most once across the whole directory.
+  auto it = begin();
+  for (std::size_t k = 0; k < dir.size(); ++k) {
+    const SubStreamId id = dir[k].id;
+    while (it != end() && it->first < id) ++it;
+    out[k] = it != end() && it->first == id ? it->second : 1.0;
   }
-  return npos;
 }
 
 void WeightMap::set(SubStreamId id, double weight) {
-  if (slots_.empty()) grow();
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t slot = static_cast<std::size_t>(hash(id)) & mask;
-  while (slots_[slot].used) {
-    if (slots_[slot].id == id) {
-      slots_[slot].weight = weight;
-      return;
-    }
-    slot = (slot + 1) & mask;
+  // Ascending writers (samplers, decoders) always take the append.
+  if (entries_.empty() || entries_.back().first < id) {
+    entries_.emplace_back(id, weight);
+    return;
   }
-
-  // New entry: claim the slot, register it in the sorted iteration index,
-  // and grow the table when past ~70% load so probes stay short. The
-  // index insert is an O(n) memmove of 4-byte indices in the worst case,
-  // but the paths that bulk-populate maps — update_from of the same
-  // sub-stream set (pure overwrites, no insert) and decode_bundle (wire
-  // order is sorted, so every insert lands at the end) — stay O(1) per
-  // entry; only interleaved first-sightings pay the move, and weight
-  // maps are small (one entry per sub-stream).
-  slots_[slot] = Slot{id, weight, true};
-  auto it = std::lower_bound(
-      order_.begin(), order_.end(), id,
-      [this](std::uint32_t s, SubStreamId v) { return slots_[s].id < v; });
-  order_.insert(it, static_cast<std::uint32_t>(slot));
-  if (order_.size() * 10 >= slots_.size() * 7) grow();
+  const auto it =
+      std::lower_bound(entries_.begin(), entries_.end(), id, id_less);
+  if (it->first == id) {
+    it->second = weight;
+  } else {
+    entries_.emplace(it, id, weight);
+  }
 }
 
-void WeightMap::grow() {
-  const std::size_t new_size = slots_.empty() ? 16 : slots_.size() * 2;
-  std::vector<Slot> old = std::move(slots_);
-  slots_.assign(new_size, Slot{});
-  const std::size_t mask = new_size - 1;
-  // Re-place every occupied slot; order_ holds the same ids afterwards,
-  // just pointing at their new homes, so it is rebuilt in the same order.
-  std::vector<std::uint32_t> order = std::move(order_);
-  order_.clear();
-  order_.reserve(order.size());
-  for (const std::uint32_t old_slot : order) {
-    const Slot& entry = old[old_slot];
-    std::size_t slot = static_cast<std::size_t>(hash(entry.id)) & mask;
-    while (slots_[slot].used) slot = (slot + 1) & mask;
-    slots_[slot] = entry;
-    order_.push_back(static_cast<std::uint32_t>(slot));
+void WeightMap::update_from(const WeightMap& other) {
+  // Forward pass: overwrite the ids both maps hold, count the ones only
+  // `other` has. Steady-state callers see the same sub-streams every
+  // interval and stop here.
+  std::size_t added = 0;
+  auto mine = entries_.begin();
+  for (const value_type& theirs : other.entries_) {
+    mine = std::lower_bound(mine, entries_.end(), theirs.first, id_less);
+    if (mine != entries_.end() && mine->first == theirs.first) {
+      mine->second = theirs.second;
+    } else {
+      ++added;
+    }
+  }
+  if (added == 0) return;
+
+  // Backward pass: grow once and merge both ascending runs from the top,
+  // so every entry moves at most once. The write cursor stays ahead of
+  // the unread entries; when `other` runs out, the rest are in place.
+  std::size_t i = entries_.size();
+  entries_.resize(i + added);
+  std::size_t out = entries_.size();
+  for (std::size_t j = other.entries_.size(); j > 0;) {
+    const value_type& theirs = other.entries_[j - 1];
+    if (i > 0 && theirs.first <= entries_[i - 1].first) {
+      if (theirs.first == entries_[i - 1].first) --j;  // already updated
+      entries_[--out] = entries_[--i];
+    } else {
+      entries_[--out] = theirs;
+      --j;
+    }
   }
 }
 

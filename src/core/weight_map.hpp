@@ -9,157 +9,90 @@
 // the *last known* weight for that sub-stream applies, so the map
 // remembers weights across intervals.
 //
-// Storage is a flat open-addressing table (power-of-two slots, linear
-// probing), not a node-based std::map: get()/contains() are the
-// per-stratum-per-interval hot calls of the samplers and resolve with one
-// hash and a short probe instead of a pointer chase. Iteration order must
-// stay deterministic and ascending by id — the wire format, operator<<,
-// and every equivalence test depend on it — so the map also keeps a
-// sorted index of occupied slots; iteration walks that index, which makes
-// begin()/end() and operator== behave exactly like the old std::map.
+// Storage is one vector of (id, weight) entries kept sorted by id. Maps
+// hold one entry per sub-stream — a handful — and are built in ascending
+// order almost everywhere (samplers walk the ascending stratum directory,
+// decoders read ascending wire order), so set() is an append, get() a
+// binary search over a cache line or two, and iteration, equality and
+// printing walk the vector in the ascending order the wire format and
+// every equivalence test depend on.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
-#include <cstdint>
-#include <iterator>
 #include <ostream>
 #include <utility>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "common/types.hpp"
 
 namespace approxiot::core {
 
 struct Stratum;
 
+/// A weight every encoder can produce: finite and > 0. Decoders reject
+/// anything else, since one such weight poisons every estimate in Θ.
+[[nodiscard]] inline bool is_valid_weight(double weight) noexcept {
+  return std::isfinite(weight) && weight > 0.0;
+}
+
 class WeightMap {
  public:
+  using value_type = std::pair<SubStreamId, double>;
+  using const_iterator = std::vector<value_type>::const_iterator;
+
   WeightMap() = default;
 
   /// Weight for `id`; sub-streams never seen default to 1 (the weight of
   /// raw source data, §III-C case i).
   [[nodiscard]] double get(SubStreamId id) const noexcept {
-    const std::size_t slot = find_slot(id);
-    return slot == npos ? 1.0 : slots_[slot].weight;
+    const const_iterator it = find(id);
+    return it == end() ? 1.0 : it->second;
   }
 
   [[nodiscard]] bool contains(SubStreamId id) const noexcept {
-    return find_slot(id) != npos;
+    return find(id) != end();
   }
 
   /// Weights for a whole stratum directory at once. `dir` is ascending
-  /// by id (the StratifiedBatch invariant), so instead of one hash +
-  /// probe per stratum this merges dir against the sorted slot index in
-  /// a single linear pass — the samplers' per-interval block lookup.
-  /// Writes dir.size() weights to `out`; absent ids get 1 (same default
-  /// as get()).
+  /// by id (the StratifiedBatch invariant), so this merges it against the
+  /// entries in a single linear pass — the samplers' per-interval block
+  /// lookup. Writes dir.size() weights to `out`; absent ids get 1 (same
+  /// default as get()).
   void get_for_strata(const std::vector<Stratum>& dir,
                       double* out) const noexcept;
 
   void set(SubStreamId id, double weight);
 
   /// Overwrites entries present in `other`, keeps the rest — the
-  /// "remember the up-to-date weight" rule of Fig. 3.
-  void update_from(const WeightMap& other) {
-    for (const auto& [id, w] : other) set(id, w);
-  }
+  /// "remember the up-to-date weight" rule of Fig. 3. One merge of the
+  /// two ascending runs; allocates only when `other` brings new ids
+  /// beyond the current capacity.
+  void update_from(const WeightMap& other);
 
-  void clear() noexcept {
-    slots_.clear();
-    order_.clear();
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return order_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return order_.empty(); }
+  void reserve(std::size_t n) { entries_.reserve(n); }
+  void clear() noexcept { entries_.clear(); }
+  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
 
-  /// Iterates (id, weight) pairs in ascending id order — the exact
-  /// sequence the old std::map produced.
-  class const_iterator {
-   public:
-    using value_type = std::pair<SubStreamId, double>;
-    using reference = value_type;
-    using difference_type = std::ptrdiff_t;
-    using iterator_category = std::input_iterator_tag;
-    using pointer = void;
-
-    const_iterator() = default;
-    const_iterator(const WeightMap* map, std::size_t index) noexcept
-        : map_(map), index_(index) {}
-
-    [[nodiscard]] value_type operator*() const noexcept {
-      const Slot& slot = map_->slots_[map_->order_[index_]];
-      return {slot.id, slot.weight};
-    }
-
-    struct ArrowProxy {
-      value_type pair;
-      const value_type* operator->() const noexcept { return &pair; }
-    };
-    [[nodiscard]] ArrowProxy operator->() const noexcept {
-      return ArrowProxy{**this};
-    }
-
-    const_iterator& operator++() noexcept {
-      ++index_;
-      return *this;
-    }
-    const_iterator operator++(int) noexcept {
-      const_iterator old = *this;
-      ++index_;
-      return old;
-    }
-    friend bool operator==(const_iterator a, const_iterator b) noexcept {
-      return a.map_ == b.map_ && a.index_ == b.index_;
-    }
-    friend bool operator!=(const_iterator a, const_iterator b) noexcept {
-      return !(a == b);
-    }
-
-   private:
-    const WeightMap* map_{nullptr};
-    std::size_t index_{0};
-  };
-
+  /// Iterates (id, weight) pairs in ascending id order.
   [[nodiscard]] const_iterator begin() const noexcept {
-    return const_iterator(this, 0);
+    return entries_.begin();
   }
-  [[nodiscard]] const_iterator end() const noexcept {
-    return const_iterator(this, order_.size());
-  }
+  [[nodiscard]] const_iterator end() const noexcept { return entries_.end(); }
 
-  /// Same semantics as std::map equality: identical (id, weight) entry
-  /// sequences (both iterate in ascending id order).
+  /// Identical (id, weight) entry sequences.
   friend bool operator==(const WeightMap& a, const WeightMap& b) noexcept {
-    if (a.order_.size() != b.order_.size()) return false;
-    for (std::size_t i = 0; i < a.order_.size(); ++i) {
-      const Slot& sa = a.slots_[a.order_[i]];
-      const Slot& sb = b.slots_[b.order_[i]];
-      if (sa.id != sb.id || sa.weight != sb.weight) return false;
-    }
-    return true;
+    return a.entries_ == b.entries_;
   }
 
   friend std::ostream& operator<<(std::ostream& os, const WeightMap& m);
 
  private:
-  struct Slot {
-    SubStreamId id{};
-    double weight{0.0};
-    bool used{false};
-  };
+  /// The entry for `id`, or end().
+  [[nodiscard]] const_iterator find(SubStreamId id) const noexcept;
 
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
-  /// Full-avalanche mix so clustered ids spread over the 2^k table.
-  static std::uint64_t hash(SubStreamId id) noexcept {
-    return mix64(id.value());
-  }
-
-  [[nodiscard]] std::size_t find_slot(SubStreamId id) const noexcept;
-  void grow();
-
-  std::vector<Slot> slots_;          // open-addressing table, 2^k slots
-  std::vector<std::uint32_t> order_; // occupied slots, sorted by id
+  std::vector<value_type> entries_;  // ascending, unique ids
 };
 
 }  // namespace approxiot::core

@@ -49,7 +49,7 @@ SampledBundle WHSampler::sample_strata(const StratifiedBatch& strata,
     infos_.push_back(
         sampling::SubStreamInfo{s.id, s.len, 0.0, weights_scratch_[k]});
   }
-  const sampling::SizeMap sizes = policy_->allocate(sample_size, infos_);
+  policy_->allocate(sample_size, infos_, sizes_);
 
   // Lines 8-19: reservoir-sample each sub-stream from its arena span and
   // update its weight. Strata are visited in ascending id order — the
@@ -61,14 +61,14 @@ SampledBundle WHSampler::sample_strata(const StratifiedBatch& strata,
   // J^n(s) for n strata — n + 1 jumps per call.
   const Item* arena = strata.items().data();
   out.sample.reserve_items(std::min(sample_size, strata.item_count()));
-  const auto& dir = strata.strata();
+  out.sample.reserve_strata(strata_dir.size());
+  out.w_out.reserve(strata_dir.size());
   Rng stream = rng_;
   stream.jump();
-  for (std::size_t k = 0; k < dir.size(); ++k) {
-    const Stratum& s = dir[k];
+  for (std::size_t k = 0; k < strata_dir.size(); ++k) {
+    const Stratum& s = strata_dir[k];
     const std::uint64_t c_i = s.len;
-    auto size_it = sizes.find(s.id);
-    const std::size_t n_i = size_it == sizes.end() ? 0 : size_it->second;
+    const std::size_t n_i = sizes_[k];
 
     rng_ = stream;  // J^(k+1)(s)
     stream.jump();  // J^(k+2)(s): this stratum's stream

@@ -81,6 +81,8 @@ class WHSampler {
   /// Reused stratification arena for the vector entry point.
   StratifiedBatch scratch_;
   std::vector<sampling::SubStreamInfo> infos_;
+  /// Per-interval N_i, indexed like the stratum directory.
+  std::vector<std::size_t> sizes_;
   /// Per-interval W^in_i, resolved in one get_for_strata() block pass.
   std::vector<double> weights_scratch_;
 };

@@ -1,5 +1,7 @@
 #include "core/wire.hpp"
 
+#include <algorithm>
+
 #include "core/kernels/kernels.hpp"
 #include "flowqueue/serde.hpp"
 
@@ -16,6 +18,8 @@ constexpr std::uint8_t kVersionEpoch = 0x02;
 /// Smallest encoded item: a one-byte varint source id, a double value
 /// and a fixed64 timestamp.
 constexpr std::size_t kMinItemBytes = 1 + 8 + 8;
+/// Smallest encoded weight: a one-byte varint id and a double.
+constexpr std::size_t kMinWeightBytes = 1 + 8;
 }  // namespace
 
 namespace {
@@ -102,14 +106,26 @@ Result<ItemBundle> decode_bundle(const std::vector<std::uint8_t>& payload) {
     bundle.policy_epoch = epoch.value();
   }
 
+  // Encoders write strictly ascending ids with valid weights; anything
+  // else is corrupt. The order check also keeps every set() an append.
   auto n_weights = dec.get_varint();
   if (!n_weights) return n_weights.status();
+  bundle.w_in.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(n_weights.value(),
+                              dec.remaining() / kMinWeightBytes)));
   for (std::uint64_t i = 0; i < n_weights.value(); ++i) {
     auto id = dec.get_varint();
     if (!id) return id.status();
     auto weight = dec.get_double();
     if (!weight) return weight.status();
-    bundle.w_in.set(SubStreamId{id.value()}, weight.value());
+    const SubStreamId sub_stream{id.value()};
+    if (!is_valid_weight(weight.value()) ||
+        (i > 0 && !((bundle.w_in.end() - 1)->first < sub_stream))) {
+      return Status::invalid_argument(
+          "bundle weight of sub-stream " + std::to_string(id.value()) +
+          " is not finite and positive, or out of ascending id order");
+    }
+    bundle.w_in.set(sub_stream, weight.value());
   }
 
   auto n_items = dec.get_varint();

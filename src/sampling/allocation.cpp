@@ -6,92 +6,63 @@
 
 namespace approxiot::sampling {
 
-namespace {
-
-/// Shares out `total_budget` proportionally to `scores` (largest-remainder
-/// method), guaranteeing one slot per stream when the budget allows.
-SizeMap proportional_split(std::size_t total_budget,
-                           const std::vector<SubStreamInfo>& streams,
-                           const std::vector<double>& scores) {
-  SizeMap out;
-  if (streams.empty()) return out;
-
+void AllocationPolicy::allocate(std::size_t total_budget,
+                                const std::vector<SubStreamInfo>& streams,
+                                std::vector<std::size_t>& sizes) {
   const std::size_t k = streams.size();
+  sizes.assign(k, 0);
+  if (k == 0) return;
+  shares_.resize(k);
+
   if (total_budget <= k) {
     // Degenerate budget: give everything one slot until it runs out,
     // lowest ids first (deterministic).
-    std::vector<std::size_t> order(k);
-    for (std::size_t i = 0; i < k; ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return streams[a].id < streams[b].id;
-    });
-    for (std::size_t i = 0; i < k; ++i) {
-      out[streams[order[i]].id] = i < total_budget ? 1 : 0;
+    for (std::size_t i = 0; i < k; ++i) shares_[i] = Share{0.0, i};
+    std::sort(shares_.begin(), shares_.end(),
+              [&](const Share& a, const Share& b) {
+                return streams[a.index].id < streams[b.index].id;
+              });
+    for (std::size_t i = 0; i < total_budget; ++i) {
+      sizes[shares_[i].index] = 1;
     }
-    return out;
+    return;
   }
 
   double score_sum = 0.0;
-  for (double s : scores) score_sum += s;
+  for (std::size_t i = 0; i < k; ++i) {
+    shares_[i] = Share{score(streams[i]), i};
+    score_sum += shares_[i].value;
+  }
 
   // Reserve one guaranteed slot per stream, then split the rest by score.
   const std::size_t spare = total_budget - k;
-  std::vector<double> fractional(k, 0.0);
   std::size_t assigned = 0;
-  for (std::size_t i = 0; i < k; ++i) {
+  for (Share& s : shares_) {
     const double share =
         score_sum > 0.0
-            ? static_cast<double>(spare) * (scores[i] / score_sum)
+            ? static_cast<double>(spare) * (s.value / score_sum)
             : static_cast<double>(spare) / static_cast<double>(k);
     const auto whole = static_cast<std::size_t>(share);
-    out[streams[i].id] = 1 + whole;
-    fractional[i] = share - static_cast<double>(whole);
+    sizes[s.index] = 1 + whole;
+    s.value = share - static_cast<double>(whole);
     assigned += 1 + whole;
   }
+  if (assigned >= total_budget) return;
 
   // Deal leftover slots to the largest fractional remainders.
-  std::vector<std::size_t> order(k);
-  for (std::size_t i = 0; i < k; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (fractional[a] != fractional[b]) return fractional[a] > fractional[b];
-    return streams[a].id < streams[b].id;
-  });
+  std::sort(shares_.begin(), shares_.end(),
+            [&](const Share& a, const Share& b) {
+              if (a.value != b.value) return a.value > b.value;
+              return streams[a.index].id < streams[b.index].id;
+            });
   for (std::size_t i = 0; assigned < total_budget && i < k; ++i, ++assigned) {
-    ++out[streams[order[i]].id];
+    ++sizes[shares_[i].index];
   }
-  return out;
 }
 
-}  // namespace
-
-SizeMap EqualAllocation::allocate(
-    std::size_t total_budget,
-    const std::vector<SubStreamInfo>& streams) const {
-  std::vector<double> scores(streams.size(), 1.0);
-  return proportional_split(total_budget, streams, scores);
-}
-
-SizeMap ProportionalAllocation::allocate(
-    std::size_t total_budget,
-    const std::vector<SubStreamInfo>& streams) const {
-  std::vector<double> scores;
-  scores.reserve(streams.size());
-  for (const auto& s : streams) {
-    scores.push_back(static_cast<double>(s.count));
-  }
-  return proportional_split(total_budget, streams, scores);
-}
-
-SizeMap NeymanAllocation::allocate(
-    std::size_t total_budget,
-    const std::vector<SubStreamInfo>& streams) const {
-  std::vector<double> scores;
-  scores.reserve(streams.size());
-  for (const auto& s : streams) {
-    scores.push_back(static_cast<double>(s.count) *
-                     std::max(s.value_stddev, 1e-12));
-  }
-  return proportional_split(total_budget, streams, scores);
+double NeymanAllocation::score(const SubStreamInfo& stream) const {
+  return static_cast<double>(stream.count) *
+         std::max(stream.value_stddev, 1e-12);
 }
 
 std::unique_ptr<AllocationPolicy> make_allocation_policy(

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -126,6 +128,90 @@ TEST(CheckpointTest, WriterReaderPrimitivesRoundTrip) {
   reader.get_theta(theta_back);
   expect_theta_identical(theta, theta_back);
   reader.expect_exhausted();
+}
+
+// Writers emit strictly ascending ids and finite, positive weights; a
+// snapshot with anything else is corrupt and must not be restored.
+Checkpoint weight_map_snapshot(
+    const std::vector<std::pair<std::uint64_t, double>>& entries) {
+  CheckpointWriter writer(CheckpointKind::kStage);
+  writer.put_u64(entries.size());
+  for (const auto& [id, weight] : entries) {
+    writer.put_i64(static_cast<std::int64_t>(id));
+    writer.put_double(weight);
+  }
+  return writer.finish();
+}
+
+/// Θ snapshot of one-item pairs, one (id, pair weight) per sub-stream.
+Checkpoint theta_snapshot(
+    const std::vector<std::pair<std::uint64_t, double>>& streams) {
+  CheckpointWriter writer(CheckpointKind::kStage);
+  writer.put_u64(streams.size());
+  for (const auto& [id, weight] : streams) {
+    writer.put_i64(static_cast<std::int64_t>(id));
+    writer.put_u64(1);  // pairs
+    writer.put_double(weight);
+    writer.put_u64(1);  // items
+    writer.put_i64(static_cast<std::int64_t>(id));
+    writer.put_double(4.0);
+    writer.put_i64(0);
+  }
+  writer.put_bool(false);
+  writer.put_u64(0);
+  writer.put_u64(0);
+  return writer.finish();
+}
+
+void expect_weight_map_rejected(const Checkpoint& snapshot) {
+  CheckpointReader reader(snapshot, CheckpointKind::kStage);
+  WeightMap weights;
+  EXPECT_THROW(reader.get_weight_map(weights), CheckpointError);
+}
+
+void expect_theta_rejected(const Checkpoint& snapshot) {
+  CheckpointReader reader(snapshot, CheckpointKind::kStage);
+  ThetaStore theta;
+  EXPECT_THROW(reader.get_theta(theta), CheckpointError);
+}
+
+TEST(CheckpointTest, ValidWeightsAndAscendingIdsRestore) {
+  const Checkpoint map_bytes = weight_map_snapshot({{1, 0.25}, {9, 2.0}});
+  CheckpointReader maps(map_bytes, CheckpointKind::kStage);
+  WeightMap weights;
+  maps.get_weight_map(weights);
+  EXPECT_EQ(weights.get(SubStreamId{9}), 2.0);
+  const Checkpoint theta_bytes = theta_snapshot({{1, 0.25}, {9, 2.0}});
+  CheckpointReader thetas(theta_bytes, CheckpointKind::kStage);
+  ThetaStore theta;
+  thetas.get_theta(theta);
+  EXPECT_EQ(theta.sub_streams().size(), 2u);
+  thetas.expect_exhausted();
+}
+
+TEST(CheckpointTest, RejectsNanWeight) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  expect_weight_map_rejected(weight_map_snapshot({{1, 1.0}, {2, nan}}));
+  expect_theta_rejected(theta_snapshot({{1, nan}}));
+}
+
+TEST(CheckpointTest, RejectsZeroWeight) {
+  expect_weight_map_rejected(weight_map_snapshot({{1, 0.0}}));
+  expect_theta_rejected(theta_snapshot({{1, 2.0}, {2, 0.0}}));
+}
+
+TEST(CheckpointTest, RejectsNegativeAndInfiniteWeights) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {-1.0, inf, -inf}) {
+    expect_weight_map_rejected(weight_map_snapshot({{1, bad}}));
+    expect_theta_rejected(theta_snapshot({{1, bad}}));
+  }
+}
+
+TEST(CheckpointTest, RejectsDescendingIds) {
+  expect_weight_map_rejected(weight_map_snapshot({{2, 1.0}, {1, 1.0}}));
+  expect_weight_map_rejected(weight_map_snapshot({{2, 1.0}, {2, 1.0}}));
+  expect_theta_rejected(theta_snapshot({{5, 1.0}, {3, 1.0}}));
 }
 
 TEST(CheckpointTest, KindMismatchAndTruncationThrow) {

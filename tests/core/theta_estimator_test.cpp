@@ -3,6 +3,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/checkpoint.hpp"
 #include "core/error.hpp"
 #include "core/estimators.hpp"
 #include "core/theta_store.hpp"
@@ -133,10 +134,9 @@ void expect_same_theta(const ThetaStore& got, const ThetaStore& want) {
 
 /// Bundles [0, split) added to the target, [split, end) to a delta that
 /// is then merged in, against all of them added to one store in order.
-void check_merge_at(std::size_t split) {
+void check_merge_at(std::size_t split, ThetaStore target = ThetaStore{}) {
   const auto& bundles = merge_bundles();
   ThetaStore reference;
-  ThetaStore target;
   ThetaStore delta;
   for (std::size_t b = 0; b < bundles.size(); ++b) {
     reference.add(bundles[b]);
@@ -182,6 +182,82 @@ TEST(ThetaStoreTest, MergeDeltaAloneCarriesNonZeroEpoch) {
   expect_same_theta(target, reference);
   EXPECT_EQ(target.min_policy_epoch(), 0u);
   EXPECT_EQ(target.max_policy_epoch(), 7u);
+}
+
+// --- Window reuse: clear() keeps storage, never contents ----------------
+
+/// A store that has closed a window: sub-streams 1-4 of merge_bundles()
+/// plus 6 and 9, which no later window in these tests uses.
+ThetaStore store_after_a_window() {
+  ThetaStore theta;
+  for (const SampledBundle& b : merge_bundles()) theta.add(b);
+  theta.add(bundle_of(8, {{6, 3.0, {30, 31}}, {9, 1.0, {32}}}));
+  theta.clear();
+  return theta;
+}
+
+TEST(ThetaStoreTest, ClearedStoreReportsNothingOfTheOldWindow) {
+  const ThetaStore theta = store_after_a_window();
+  EXPECT_TRUE(theta.empty());
+  EXPECT_TRUE(theta.sub_streams().empty());
+  for (const std::uint64_t id : {1, 2, 3, 4, 6, 9}) {
+    EXPECT_TRUE(theta.pairs(SubStreamId{id}).empty()) << id;
+    EXPECT_EQ(theta.sampled_count(SubStreamId{id}), 0u) << id;
+  }
+  EXPECT_EQ(theta.total_sampled(), 0u);
+  EXPECT_FALSE(theta.epoch_span().seen);
+  const ApproxResult result = approximate_query(theta);
+  EXPECT_EQ(result.sum.point, 0.0);
+  EXPECT_EQ(result.sampled_items, 0u);
+}
+
+TEST(ThetaStoreTest, NextWindowOnOtherSubStreamsMatchesAFreshStore) {
+  // Sub-stream 2 comes back, 5 is new, 1/3/4/6/9 are gone. The delta
+  // brings more pairs of 5 than the store has room for next to its own.
+  const std::vector<SampledBundle> window = {
+      bundle_of(5, {{2, 1.25, {21, 22}}, {5, 8.0, {23}}}),
+      bundle_of(6, {{5, 2.0, {24, 25}}}),
+      bundle_of(5, {{2, 3.0, {26}}}),
+      bundle_of(6, {{5, 4.0, {27}}}),
+  };
+  ThetaStore reused = store_after_a_window();
+  ThetaStore fresh;
+  ThetaStore delta;
+  reused.add(window[0]);
+  for (std::size_t b = 1; b < window.size(); ++b) delta.add(window[b]);
+  reused.merge(std::move(delta));
+  for (const SampledBundle& b : window) fresh.add(b);
+
+  expect_same_theta(reused, fresh);  // Θ, epoch span and the query
+  EXPECT_EQ(reused.sub_streams(),
+            (std::vector<SubStreamId>{SubStreamId{2}, SubStreamId{5}}));
+  for (const std::uint64_t id : {1, 3, 4, 6, 9}) {
+    EXPECT_TRUE(reused.pairs(SubStreamId{id}).empty()) << id;
+  }
+  EXPECT_EQ(reused.total_sampled(), fresh.total_sampled());
+  EXPECT_EQ(reused.estimated_original_count(SubStreamId{5}),
+            fresh.estimated_original_count(SubStreamId{5}));
+
+  // A checkpoint of the reused store is byte-identical to the fresh
+  // store's, and restores into a store that has closed windows too.
+  CheckpointWriter reused_writer(CheckpointKind::kStage);
+  reused_writer.put_theta(reused);
+  CheckpointWriter fresh_writer(CheckpointKind::kStage);
+  fresh_writer.put_theta(fresh);
+  const Checkpoint snapshot = reused_writer.finish();
+  EXPECT_EQ(snapshot.bytes, fresh_writer.finish().bytes);
+  ThetaStore restored = store_after_a_window();
+  CheckpointReader reader(snapshot, CheckpointKind::kStage);
+  reader.get_theta(restored);
+  reader.expect_exhausted();
+  expect_same_theta(restored, fresh);
+}
+
+TEST(ThetaStoreTest, MergeIntoAClearedStoreEqualsAddingOneByOne) {
+  for (std::size_t split = 0; split <= merge_bundles().size(); ++split) {
+    SCOPED_TRACE(split);
+    check_merge_at(split, store_after_a_window());
+  }
 }
 
 // --- Estimators: the worked example of Fig. 3 --------------------------

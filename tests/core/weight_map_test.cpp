@@ -70,10 +70,10 @@ TEST(WeightMapTest, EqualityAndIteration) {
   EXPECT_EQ(n, 2u);
 }
 
-// The flat open-addressing storage must be behaviourally indistinguishable
-// from the std::map it replaced: same lookups, same deterministic
-// ascending iteration, same equality — regardless of insertion order,
-// overwrites, or table growth.
+// The sorted-vector storage must be behaviourally indistinguishable from
+// the std::map it replaced: same lookups, same deterministic ascending
+// iteration, same equality — regardless of insertion order, overwrites,
+// or growth.
 TEST(WeightMapTest, PropertyMatchesStdMapUnderRandomOperations) {
   Rng rng(0xbeef);
   for (int round = 0; round < 20; ++round) {
@@ -147,7 +147,7 @@ TEST(WeightMapTest, IterationDeterministicAcrossInsertionOrders) {
 }
 
 TEST(WeightMapTest, GrowthPreservesEntries) {
-  // Push far past the initial table size to force several rehashes.
+  // Thousands of entries: every one survives the storage's regrowth.
   WeightMap m;
   for (std::uint64_t i = 1; i <= 5000; ++i) {
     m.set(SubStreamId{i * 7919}, static_cast<double>(i));
@@ -156,6 +156,45 @@ TEST(WeightMapTest, GrowthPreservesEntries) {
   for (std::uint64_t i = 1; i <= 5000; ++i) {
     ASSERT_TRUE(m.contains(SubStreamId{i * 7919})) << i;
     ASSERT_DOUBLE_EQ(m.get(SubStreamId{i * 7919}), static_cast<double>(i));
+  }
+}
+
+// update_from merges two ascending runs in place; against std::map's
+// insert-or-assign it must agree for every overlap pattern: disjoint,
+// nested, interleaved, identical, and either side empty.
+TEST(WeightMapTest, UpdateFromMatchesStdMapUnderRandomMaps) {
+  Rng rng(0x5eed);
+  for (int round = 0; round < 500; ++round) {
+    WeightMap base, incoming;
+    std::map<SubStreamId, double> reference;
+    const std::uint64_t span = 1 + rng.next_below(64);
+    const std::size_t n_base = rng.next_below(24);
+    const std::size_t n_incoming = rng.next_below(24);
+    for (std::size_t k = 0; k < n_base; ++k) {
+      const SubStreamId id{rng.next_below(span)};
+      const double w = 1.0 + rng.next_double();
+      base.set(id, w);
+      reference[id] = w;
+    }
+    const std::uint64_t offset = rng.next_below(2) == 0 ? 0 : span / 2;
+    for (std::size_t k = 0; k < n_incoming; ++k) {
+      incoming.set(SubStreamId{offset + rng.next_below(span)},
+                   2.0 + rng.next_double());
+    }
+    for (const auto& [id, w] : incoming) reference[id] = w;
+
+    base.update_from(incoming);
+    ASSERT_EQ(base.size(), reference.size()) << "round " << round;
+    auto ref_it = reference.begin();
+    for (const auto& [id, w] : base) {
+      ASSERT_EQ(id, ref_it->first) << "round " << round;
+      ASSERT_EQ(w, ref_it->second) << "round " << round;
+      ++ref_it;
+    }
+
+    const WeightMap before = base;
+    base.update_from(base);  // self-update changes nothing
+    EXPECT_TRUE(base == before);
   }
 }
 

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "flowqueue/serde.hpp"
 
@@ -138,6 +141,59 @@ TEST(WireTest, RejectsItemCountBeyondPayloadWithoutAllocating) {
   enc.put_double(1.0);
   enc.put_fixed64(0);
   EXPECT_FALSE(decode_bundle(enc.bytes()).is_ok());
+}
+
+// A v1 payload with the given (id, weight) list and no items. Encoders
+// only ever write ascending ids with finite, positive weights.
+std::vector<std::uint8_t> payload_with_weights(
+    const std::vector<std::pair<std::uint64_t, double>>& weights) {
+  flowqueue::Encoder enc;
+  enc.put_varint(0xA7);
+  enc.put_varint(0x01);
+  enc.put_varint(weights.size());
+  for (const auto& [id, weight] : weights) {
+    enc.put_varint(id);
+    enc.put_double(weight);
+  }
+  enc.put_varint(0);
+  return enc.bytes();
+}
+
+void expect_invalid(const std::vector<std::uint8_t>& payload) {
+  const Result<ItemBundle> decoded = decode_bundle(payload);
+  ASSERT_FALSE(decoded.is_ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(WireTest, AcceptsAscendingPositiveWeights) {
+  const auto decoded =
+      decode_bundle(payload_with_weights({{1, 0.25}, {7, 3.0}}));
+  ASSERT_TRUE(decoded.is_ok());
+  EXPECT_EQ(decoded.value().w_in.get(SubStreamId{1}), 0.25);
+  EXPECT_EQ(decoded.value().w_in.get(SubStreamId{7}), 3.0);
+}
+
+TEST(WireTest, RejectsNanWeight) {
+  expect_invalid(payload_with_weights(
+      {{1, 2.0}, {2, std::numeric_limits<double>::quiet_NaN()}}));
+}
+
+TEST(WireTest, RejectsZeroWeight) {
+  expect_invalid(payload_with_weights({{1, 0.0}}));
+  expect_invalid(payload_with_weights({{1, -0.0}}));
+}
+
+TEST(WireTest, RejectsNegativeAndInfiniteWeights) {
+  expect_invalid(payload_with_weights({{1, -1.5}}));
+  expect_invalid(
+      payload_with_weights({{1, std::numeric_limits<double>::infinity()}}));
+  expect_invalid(
+      payload_with_weights({{1, -std::numeric_limits<double>::infinity()}}));
+}
+
+TEST(WireTest, RejectsDescendingIds) {
+  expect_invalid(payload_with_weights({{2, 1.0}, {1, 1.0}}));
+  expect_invalid(payload_with_weights({{3, 1.0}, {3, 2.0}}));  // repeated
 }
 
 TEST(WireTest, RejectsEmptyPayload) {
